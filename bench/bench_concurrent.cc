@@ -1,9 +1,7 @@
 // Multithreaded C_aqp throughput benchmarks (google-benchmark threaded
 // mode): lookups/sec at 1/2/4/8 threads for hit-heavy, miss-heavy, and
-// mixed insert+lookup workloads at several N_max, plus two ablations —
-// enable_index=false (the pre-index linear entry scan) and a shard sweep
-// (shards=1/4/16) over the lookup and 99/1 read-mostly workloads so the
-// sharding + epoch-read speedups stay measurable from this PR forward.
+// mixed insert+lookup workloads at several N_max, batched lookups, and a
+// 99/1 read-mostly mix, so the epoch-guarded read path stays measurable.
 //
 // The stored population spreads N parts over N/4 distinct relation names
 // (4 point conditions per relation), the shape where entry enumeration —
@@ -29,6 +27,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "common/metrics.h"
 #include "core/caqp_cache.h"
@@ -87,13 +86,12 @@ enum class Kind { kLookup, kMixed, kReadMostly };
 /// setup concurrently, so construction is serialized; workloads are kept
 /// for the binary's lifetime (the mutating workloads are intentionally
 /// reused — they stay in eviction steady state across repetitions).
-Workload& GetWorkload(size_t n, bool indexed, Kind kind, size_t shards) {
+Workload& GetWorkload(size_t n, Kind kind) {
   static std::mutex mu;
-  static std::map<std::tuple<size_t, bool, Kind, size_t>,
-                  std::unique_ptr<Workload>>
+  static std::map<std::pair<size_t, Kind>, std::unique_ptr<Workload>>
       registry;
   std::lock_guard<std::mutex> lock(mu);
-  auto& slot = registry[{n, indexed, kind, shards}];
+  auto& slot = registry[{n, kind}];
   if (slot == nullptr) {
     auto w = std::make_unique<Workload>();
     w->relations = n / kPartsPerRelation;
@@ -101,9 +99,7 @@ Workload& GetWorkload(size_t n, bool indexed, Kind kind, size_t shards) {
     // mutating workloads run exactly at capacity so inserts churn the
     // clock.
     size_t n_max = kind == Kind::kLookup ? n + kPartsPerRelation : n;
-    w->cache = std::make_unique<CaqpCache>(n_max, EvictionPolicy::kClock,
-                                           /*enable_signatures=*/true,
-                                           indexed, shards);
+    w->cache = std::make_unique<CaqpCache>(n_max);
     for (size_t r = 0; r < w->relations; ++r) {
       std::string rel = "r" + std::to_string(r);
       for (size_t v = 0; v < kPartsPerRelation; ++v) {
@@ -125,10 +121,9 @@ Workload& GetWorkload(size_t n, bool indexed, Kind kind, size_t shards) {
   return *slot;
 }
 
-void RunLookups(benchmark::State& state, bool indexed, bool hit,
-                size_t shards) {
-  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)), indexed,
-                            Kind::kLookup, shards);
+void RunLookups(benchmark::State& state, bool hit) {
+  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)),
+                            Kind::kLookup);
   ProbeSlice slice = SliceFor(hit ? w.hit_probes : w.miss_probes, state);
   std::mt19937_64 rng(7919 * (state.thread_index() + 1));
   for (auto _ : state) {
@@ -139,38 +134,16 @@ void RunLookups(benchmark::State& state, bool indexed, bool hit,
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_LookupHit(benchmark::State& state) {
-  RunLookups(state, /*indexed=*/true, /*hit=*/true, CaqpCache::kDefaultShards);
-}
-void BM_LookupMiss(benchmark::State& state) {
-  RunLookups(state, /*indexed=*/true, /*hit=*/false,
-             CaqpCache::kDefaultShards);
-}
-// The pre-index baseline: every probe scans all N/8 entries.
-void BM_LookupHitIndexOff(benchmark::State& state) {
-  RunLookups(state, /*indexed=*/false, /*hit=*/true,
-             CaqpCache::kDefaultShards);
-}
-void BM_LookupMissIndexOff(benchmark::State& state) {
-  RunLookups(state, /*indexed=*/false, /*hit=*/false,
-             CaqpCache::kDefaultShards);
-}
-// Shard sweep: same hit workload at shards=1/4/16. shards=1 is the
-// unsharded ablation baseline; the spread shows what sharding buys once
-// threads > 1 (on a 1-CPU container the curves collapse — see
-// EXPERIMENTS.md).
-void BM_LookupHitShards(benchmark::State& state) {
-  RunLookups(state, /*indexed=*/true, /*hit=*/true,
-             static_cast<size_t>(state.range(1)));
-}
+void BM_LookupHit(benchmark::State& state) { RunLookups(state, true); }
+void BM_LookupMiss(benchmark::State& state) { RunLookups(state, false); }
 
 // Batched lookup: kBatchSize probes per CoveredByBatch call — one epoch
 // enter/exit and one counter flush amortized over the whole batch.
 // items_processed counts probes, so ns/item is directly comparable to
 // BM_LookupHit.
 void BM_BatchLookupHit(benchmark::State& state) {
-  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)), true,
-                            Kind::kLookup, CaqpCache::kDefaultShards);
+  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)),
+                            Kind::kLookup);
   ProbeSlice slice = SliceFor(w.hit_probes, state);
   std::mt19937_64 rng(7919 * (state.thread_index() + 1));
   std::vector<const AtomicQueryPart*> batch(kBatchSize);
@@ -187,11 +160,11 @@ void BM_BatchLookupHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatchSize);
 }
 
-// 1 insert per 16 lookups at capacity: writers take the exclusive side,
+// 1 insert per 16 lookups at capacity: writers take the writer mutex,
 // drive eviction + entry GC, and mix with the epoch-guarded probe stream.
 void BM_MixedInsertLookup(benchmark::State& state) {
-  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)), true,
-                            Kind::kMixed, CaqpCache::kDefaultShards);
+  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)),
+                            Kind::kMixed);
   ProbeSlice hits = SliceFor(w.hit_probes, state);
   ProbeSlice misses = SliceFor(w.miss_probes, state);
   std::mt19937_64 rng(104729 * (state.thread_index() + 1));
@@ -207,14 +180,12 @@ void BM_MixedInsertLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// Read-mostly 99/1 workload across the shard sweep: 99 lookups per
-// insert is the steady state the epoch design targets — readers never
-// block, and the rare writer touches one shard plus a copy-on-write
-// publish. range(1) is the shard count.
+// Read-mostly 99/1 workload: 99 lookups per insert is the steady state
+// the epoch design targets — readers never block, and the rare writer
+// takes the writer mutex plus a copy-on-write publish.
 void BM_ReadMostly99(benchmark::State& state) {
-  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)), true,
-                            Kind::kReadMostly,
-                            static_cast<size_t>(state.range(1)));
+  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)),
+                            Kind::kReadMostly);
   ProbeSlice hits = SliceFor(w.hit_probes, state);
   ProbeSlice misses = SliceFor(w.miss_probes, state);
   std::mt19937_64 rng(15485863 * (state.thread_index() + 1));
@@ -250,17 +221,6 @@ BENCHMARK(BM_LookupMiss)
     ->Threads(4)
     ->Threads(8)
     ->UseRealTime();
-BENCHMARK(BM_LookupHitIndexOff)->Arg(1024)->Arg(4096)->Arg(16384);
-BENCHMARK(BM_LookupMissIndexOff)->Arg(1024)->Arg(4096)->Arg(16384);
-BENCHMARK(BM_LookupHitShards)
-    ->Args({4096, 1})
-    ->Args({4096, 4})
-    ->Args({4096, 16})
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 BENCHMARK(BM_BatchLookupHit)
     ->Arg(4096)
     ->Threads(1)
@@ -276,9 +236,7 @@ BENCHMARK(BM_MixedInsertLookup)
     ->Threads(8)
     ->UseRealTime();
 BENCHMARK(BM_ReadMostly99)
-    ->Args({4096, 1})
-    ->Args({4096, 4})
-    ->Args({4096, 16})
+    ->Arg(4096)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -87,8 +87,8 @@ void EpochManager::Retire(std::function<void()> deleter) {
     advanced = AdvanceLocked(&ready);
   }
   // Deleters run outside mu_: they may be arbitrarily heavy and must
-  // not extend the lock's critical section (mu_ is taken under a shard
-  // lock in the C_aqp write path).
+  // not extend the lock's critical section (mu_ is taken under the C_aqp
+  // and reuse-store writer mutexes).
   for (auto& fn : ready) fn();
   if (advance_hook_) advance_hook_(advanced);
 }

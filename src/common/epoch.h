@@ -41,7 +41,7 @@
 namespace erq {
 
 /// Reclamation domain. One instance protects one family of shared
-/// objects (e.g. one CaqpCache's published shard indexes). Thread-safe;
+/// objects (e.g. one CaqpCache's published indexes). Thread-safe;
 /// readers are wait-free with respect to each other and never take
 /// mu_ — only Retire()/ReclaimAll() do.
 class EpochManager {

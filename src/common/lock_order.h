@@ -31,13 +31,11 @@
 ///   ReuseStore (12)   intermediate-result reuse store writer state; held
 ///                     across epoch retirement of replaced index
 ///                     snapshots, hence below Epoch
-///   CaqpCache (20)    C_aqp maintenance gate; shard mutators hold the
-///                     shared side, Clear/SetChangeListener the exclusive
-///                     side
-///   CaqpShard (22)    one C_aqp shard's writer-side state; the shard
-///                     mutex calls the persistence listener while held
-///   Epoch (24)        EpochManager's limbo lists; Retire() runs under a
-///                     shard mutex
+///   CaqpCache (20)    C_aqp writer state; held across epoch retirement
+///                     of replaced snapshots and persistence-listener
+///                     calls
+///   Epoch (24)        EpochManager's limbo lists; Retire() runs under
+///                     the CaqpCache or ReuseStore writer mutex
 ///   MvCache (30)      MV-baseline store; same listener pattern
 ///   StatsCatalog (40) optimizer statistics; leaf within the query path
 ///   Table (44)        one table's row-store mutations + partition/zone-map
@@ -51,8 +49,8 @@
 ///                     any module may register instruments under its own
 ///                     lock
 /// Gaps leave room to slot in the next arc's locks (per-tenant server
-/// state) without renumbering; 22/24 sit inside CaqpCache's gap because
-/// they are that module's internals.
+/// state) without renumbering; 24 sits inside CaqpCache's gap because
+/// epoch reclamation is that module's internals.
 
 #include "common/thread_annotations.h"
 
@@ -71,11 +69,9 @@ inline constexpr LockRank kManager{10, "Manager"};
 /// intermediate-result reuse store; epoch-retires replaced index
 /// snapshots while held (reader lookups are lock-free, like C_aqp's).
 inline constexpr LockRank kReuseStore{12, "ReuseStore"};
-/// CaqpCache::maint_mu_ — the cache-wide maintenance gate (shard
-/// mutators shared, Clear/SetChangeListener exclusive).
+/// CaqpCache::mu_ — the C_aqp writer state (entries, postings, slots,
+/// clock hand, change listener); lookups take no lock.
 inline constexpr LockRank kCaqpCache{20, "CaqpCache"};
-/// CaqpCache::Shard::mu — one shard's writer-side entries/postings/slots.
-inline constexpr LockRank kCaqpShard{22, "CaqpShard"};
 /// EpochManager::mu_ — limbo lists + epoch advancement.
 inline constexpr LockRank kEpoch{24, "Epoch"};
 /// MvEmptyCache::mu_ — the MV-baseline view store.

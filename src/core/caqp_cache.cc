@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cinttypes>
 #include <cstdio>
 
 #include "common/metrics.h"
@@ -21,8 +20,8 @@ constexpr std::memory_order kAcqRel = std::memory_order_acq_rel;
 /// aggregating across every live cache; per-instance numbers remain
 /// available via stats_snapshot(). `erq.caqp.size` tracks live parts by
 /// delta (inserts minus removals; the dtor subtracts what remains).
-/// `erq.caqp.epoch.pending` and `erq.caqp.shard_imbalance` are sampled
-/// gauges, refreshed whenever some instance's stats_snapshot() runs.
+/// `erq.caqp.epoch.pending` is a sampled gauge, refreshed whenever some
+/// instance's stats_snapshot() runs.
 struct CaqpMetrics {
   Counter* lookups;
   Counter* hits;
@@ -40,7 +39,6 @@ struct CaqpMetrics {
   Counter* epoch_retired;
   Gauge* size;
   Gauge* epoch_pending;
-  Gauge* shard_imbalance;
 
   static const CaqpMetrics& Get() {
     static const CaqpMetrics m = [] {
@@ -62,7 +60,6 @@ struct CaqpMetrics {
           r.GetCounter("erq.caqp.epoch.retired"),
           r.GetGauge("erq.caqp.size"),
           r.GetGauge("erq.caqp.epoch.pending"),
-          r.GetGauge("erq.caqp.shard_imbalance"),
       };
     }();
     return m;
@@ -71,66 +68,33 @@ struct CaqpMetrics {
 
 }  // namespace
 
-CaqpCache::CaqpCache(size_t n_max, EvictionPolicy policy,
-                     bool enable_signatures, bool enable_index, size_t shards)
-    : n_max_(n_max),
-      policy_(policy),
-      enable_signatures_(enable_signatures),
-      enable_index_(enable_index),
-      shard_count_(shards == 0 ? 1 : shards),
-      shards_(shard_count_) {
-  // Publish an empty snapshot per shard so readers never see null.
-  for (Shard& shard : shards_) {
-    shard.published.store(new ShardIndex, std::memory_order_release);
-  }
+CaqpCache::CaqpCache(size_t n_max) : n_max_(n_max) {
+  // Publish an empty snapshot so readers never see null.
+  published_.store(new Index, std::memory_order_release);
 }
 
 CaqpCache::~CaqpCache() {
-  CaqpMetrics::Get().size->Add(
-      -static_cast<int64_t>(live_total_.load(kRelaxed)));
+  CaqpMetrics::Get().size->Add(-static_cast<int64_t>(live_.load(kRelaxed)));
   // No lookup may be in flight: drain retired snapshots, then drop the
-  // currently published ones (entries/items are freed via shared_ptr once
-  // the writer-side vectors go with the shards).
+  // published one (entries/items are freed via shared_ptr once the
+  // writer-side vectors go).
   epoch_.ReclaimAll();
-  for (Shard& shard : shards_) {
-    delete shard.published.exchange(nullptr, kAcqRel);
-  }
-}
-
-size_t CaqpCache::ShardOf(const std::string& name) const {
-  return std::hash<std::string>{}(name) % shard_count_;
-}
-
-size_t CaqpCache::ShardOfSet(const RelationSet& relations) const {
-  return relations.empty() ? 0 : ShardOf(relations.names().front());
+  delete published_.exchange(nullptr, kAcqRel);
 }
 
 // ---------------------------------------------------------------------------
-// Lock-free read path
+// Read path
 // ---------------------------------------------------------------------------
 
-const CaqpCache::ShardIndex* CaqpCache::LoadIndex(
-    size_t shard_id, std::vector<const ShardIndex*>* loaded) const {
-  if (loaded == nullptr) {
-    return shards_[shard_id].published.load(kAcquire);
-  }
-  const ShardIndex* idx = (*loaded)[shard_id];
-  if (idx == nullptr) {
-    idx = shards_[shard_id].published.load(kAcquire);
-    (*loaded)[shard_id] = idx;
-  }
-  return idx;
-}
-
-bool CaqpCache::EntryCoversPublished(const PublishedEntry& entry,
-                                     const AtomicQueryPart& aqp,
-                                     const RelationSignature& query_sig,
-                                     LookupWork* work) const {
+bool CaqpCache::EntryCovers(const PublishedEntry& entry,
+                            const AtomicQueryPart& aqp,
+                            const RelationSignature& query_sig,
+                            LookupWork* work) const {
   ++work->candidates;
   // Stored part covers `aqp` only if its relation set is a subset of
   // aqp's (§2.4: "search in those entries of C_aqp whose relation names
   // form a subset of the relation names of P_i").
-  if (enable_signatures_ && !entry.signature.MaybeSubsetOf(query_sig)) {
+  if (!entry.signature.MaybeSubsetOf(query_sig)) {
     ++work->signature_rejects;
     return false;
   }
@@ -140,104 +104,37 @@ bool CaqpCache::EntryCoversPublished(const PublishedEntry& entry,
     ++work->conditions;
     if (part->aqp.Covers(aqp)) {
       part->ref.store(true, kRelaxed);
-      part->used_seq.store(seq_.fetch_add(1, kRelaxed) + 1, kRelaxed);
       return true;
     }
   }
   return false;
 }
 
-bool CaqpCache::FindCoveringPublished(
-    const AtomicQueryPart& aqp, const RelationSignature& query_sig,
-    LookupWork* work, std::vector<const ShardIndex*>* loaded) const {
+bool CaqpCache::FindCovering(const Index& index, const AtomicQueryPart& aqp,
+                             const RelationSignature& query_sig,
+                             LookupWork* work) const {
   // The entry over the empty relation set (a TRUE-on-nothing part) is a
-  // subset of every probe, posts nowhere, and resides in shard 0.
-  const ShardIndex* shard0 = LoadIndex(0, loaded);
-  if (shard0->empty_rel_entry != nullptr &&
-      EntryCoversPublished(*shard0->empty_rel_entry, aqp, query_sig, work)) {
+  // subset of every probe and posts nowhere.
+  if (index.empty_rel_entry != nullptr &&
+      EntryCovers(*index.empty_rel_entry, aqp, query_sig, work)) {
     return true;
   }
-  if (!enable_index_) {
-    // Ablation fallback: the pre-index linear scan over every entry of
-    // every shard.
-    for (size_t s = 0; s < shard_count_; ++s) {
-      const ShardIndex* idx = LoadIndex(s, loaded);
-      for (const PublishedEntryPtr& entry : idx->entries) {
-        if (entry->relations.empty()) continue;
-        if (EntryCoversPublished(*entry, aqp, query_sig, work)) return true;
-      }
-    }
-    return false;
-  }
-  // A stored set ⊆ probe set contains its own first name, so it resides
-  // in the home shard of one of the probe's names and is posted there
-  // under that name. Walking the probe names' home shards therefore
-  // visits each candidate exactly once — the published postings are keyed
-  // by first (residence) name only, so no per-posting filter is needed.
+  // A stored set ⊆ probe set contains its own first name, which is one of
+  // the probe's names; entries are posted under their first name only, so
+  // walking the probe's names visits each candidate exactly once.
   for (const std::string& name : aqp.relations().names()) {
-    const ShardIndex* idx = LoadIndex(ShardOf(name), loaded);
-    auto it = idx->postings.find(name);
-    if (it == idx->postings.end()) continue;
+    auto it = index.postings.find(name);
+    if (it == index.postings.end()) continue;
     work->postings += it->second.size();
-    for (const PublishedEntryPtr& entry : it->second) {
-      if (EntryCoversPublished(*entry, aqp, query_sig, work)) return true;
+    for (const PublishedEntry* entry : it->second) {
+      if (EntryCovers(*entry, aqp, query_sig, work)) return true;
     }
   }
   return false;
 }
 
-bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
-  RelationSignature query_sig = RelationSignature::Of(aqp.relations());
-  LookupWork work;
-  bool hit;
-  {
-    EpochReadGuard guard(&epoch_);
-    hit = FindCoveringPublished(aqp, query_sig, &work, nullptr);
-  }
-  // Flush the per-call tally with one relaxed add per counter, outside the
-  // epoch section: the global registry takes a mutex, and blocking while
-  // pinning an epoch would stall reclamation (tools/lock_lint.py enforces
-  // this).
-  counters_.lookups.fetch_add(1, kRelaxed);
-  counters_.postings_scanned.fetch_add(work.postings, kRelaxed);
-  counters_.candidate_entries.fetch_add(work.candidates, kRelaxed);
-  counters_.signature_rejects.fetch_add(work.signature_rejects, kRelaxed);
-  counters_.conditions_scanned.fetch_add(work.conditions, kRelaxed);
-  if (hit) counters_.hits.fetch_add(1, kRelaxed);
-  const CaqpMetrics& global = CaqpMetrics::Get();
-  global.lookups->Increment();
-  global.postings_scanned->Increment(work.postings);
-  global.candidate_entries->Increment(work.candidates);
-  global.signature_rejects->Increment(work.signature_rejects);
-  global.conditions_scanned->Increment(work.conditions);
-  (hit ? global.hits : global.misses)->Increment();
-  return hit;
-}
-
-std::vector<uint8_t> CaqpCache::CoveredByBatch(
-    const std::vector<const AtomicQueryPart*>& aqps) {
-  std::vector<uint8_t> out(aqps.size(), 0);
-  if (aqps.empty()) return out;
-  std::vector<RelationSignature> sigs;
-  sigs.reserve(aqps.size());
-  for (const AtomicQueryPart* aqp : aqps) {
-    sigs.push_back(RelationSignature::Of(aqp->relations()));
-  }
-  LookupWork work;
-  uint64_t hits = 0;
-  std::vector<const ShardIndex*> loaded(shard_count_, nullptr);
-  {
-    // One epoch critical section for the whole batch; each shard's
-    // snapshot is loaded at most once into `loaded`.
-    EpochReadGuard guard(&epoch_);
-    for (size_t i = 0; i < aqps.size(); ++i) {
-      if (FindCoveringPublished(*aqps[i], sigs[i], &work, &loaded)) {
-        out[i] = 1;
-        ++hits;
-      }
-    }
-  }
-  const uint64_t n = aqps.size();
+void CaqpCache::FlushLookups(uint64_t n, uint64_t hits,
+                             const LookupWork& work) {
   counters_.lookups.fetch_add(n, kRelaxed);
   counters_.postings_scanned.fetch_add(work.postings, kRelaxed);
   counters_.candidate_entries.fetch_add(work.candidates, kRelaxed);
@@ -252,6 +149,46 @@ std::vector<uint8_t> CaqpCache::CoveredByBatch(
   global.conditions_scanned->Increment(work.conditions);
   global.hits->Increment(hits);
   global.misses->Increment(n - hits);
+}
+
+bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
+  RelationSignature query_sig = RelationSignature::Of(aqp.relations());
+  LookupWork work;
+  bool hit;
+  {
+    EpochReadGuard guard(&epoch_);
+    hit = FindCovering(*published_.load(kAcquire), aqp, query_sig, &work);
+  }
+  // Flush outside the epoch section: the global registry takes a mutex,
+  // and blocking while pinning an epoch would stall reclamation
+  // (tools/lock_lint.py enforces this).
+  FlushLookups(1, hit ? 1 : 0, work);
+  return hit;
+}
+
+std::vector<uint8_t> CaqpCache::CoveredByBatch(
+    const std::vector<const AtomicQueryPart*>& aqps) {
+  std::vector<uint8_t> out(aqps.size(), 0);
+  if (aqps.empty()) return out;
+  std::vector<RelationSignature> sigs;
+  sigs.reserve(aqps.size());
+  for (const AtomicQueryPart* aqp : aqps) {
+    sigs.push_back(RelationSignature::Of(aqp->relations()));
+  }
+  LookupWork work;
+  uint64_t hits = 0;
+  {
+    // One epoch critical section and one snapshot for the whole batch.
+    EpochReadGuard guard(&epoch_);
+    const Index& index = *published_.load(kAcquire);
+    for (size_t i = 0; i < aqps.size(); ++i) {
+      if (FindCovering(index, *aqps[i], sigs[i], &work)) {
+        out[i] = 1;
+        ++hits;
+      }
+    }
+  }
+  FlushLookups(aqps.size(), hits, work);
   return out;
 }
 
@@ -259,71 +196,23 @@ std::vector<uint8_t> CaqpCache::CoveredByBatch(
 // Writer path
 // ---------------------------------------------------------------------------
 
-bool CaqpCache::EntryCoversLocked(const Shard& shard, const Entry& entry,
-                                  const AtomicQueryPart& aqp,
-                                  const RelationSignature& query_sig) const {
-  if (enable_signatures_ && !entry.signature.MaybeSubsetOf(query_sig)) {
-    return false;
-  }
-  if (!entry.relations.IsSubsetOf(aqp.relations())) return false;
-  for (size_t slot : entry.items) {
-    const PubItemPtr& part = shard.slots[slot].part;
-    if (part->aqp.Covers(aqp)) {
-      part->ref.store(true, kRelaxed);
-      part->used_seq.store(seq_.fetch_add(1, kRelaxed) + 1, kRelaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool CaqpCache::ShardCoversLocked(const Shard& shard,
-                                  const AtomicQueryPart& aqp,
-                                  const RelationSignature& query_sig) const {
-  if (shard.empty_rel_entry != kNoEntry &&
-      EntryCoversLocked(shard, shard.entries[shard.empty_rel_entry], aqp,
-                        query_sig)) {
-    return true;
-  }
-  if (!enable_index_) {
-    for (const Entry& entry : shard.entries) {
-      if (!entry.alive || entry.relations.empty()) continue;
-      if (EntryCoversLocked(shard, entry, aqp, query_sig)) return true;
-    }
-    return false;
-  }
-  // Writer-side postings carry *all* names of resident entries; keeping
-  // only entries posted under their own first name visits each resident
-  // candidate exactly once, as in the published read path.
-  for (const std::string& name : aqp.relations().names()) {
-    auto it = shard.postings.find(name);
-    if (it == shard.postings.end()) continue;
-    for (size_t id : it->second) {
-      const Entry& entry = shard.entries[id];
-      if (entry.relations.names().front() != name) continue;
-      if (EntryCoversLocked(shard, entry, aqp, query_sig)) return true;
-    }
-  }
-  return false;
-}
-
 std::vector<size_t> CaqpCache::SupersetCandidatesLocked(
-    const Shard& shard, const RelationSet& relations) const {
+    const RelationSet& relations) const {
   std::vector<size_t> out;
-  if (!enable_index_ || relations.empty()) {
-    for (size_t i = 0; i < shard.entries.size(); ++i) {
-      if (shard.entries[i].alive) out.push_back(i);
+  if (relations.empty()) {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].alive) out.push_back(i);
     }
     return out;
   }
   // Every superset entry mentions each of `relations`' names, so it posts
   // under all of them; the rarest name's posting list is the cheapest
-  // complete candidate set for this shard. A name with no posting list
-  // here means no resident entry can be a superset.
+  // complete candidate set. A name with no posting list means no entry
+  // can be a superset.
   const std::vector<size_t>* best = nullptr;
   for (const std::string& name : relations.names()) {
-    auto it = shard.postings.find(name);
-    if (it == shard.postings.end()) return out;
+    auto it = postings_.find(name);
+    if (it == postings_.end()) return out;
     if (best == nullptr || it->second.size() < best->size()) {
       best = &it->second;
     }
@@ -332,10 +221,10 @@ std::vector<size_t> CaqpCache::SupersetCandidatesLocked(
   return out;
 }
 
-void CaqpCache::RepublishEntryItemsLocked(Shard& shard, Entry& entry) {
+void CaqpCache::RepublishEntryItemsLocked(Entry& entry) {
   auto* vec = new ItemVec;
   vec->reserve(entry.items.size());
-  for (size_t slot : entry.items) vec->push_back(shard.slots[slot].part);
+  for (size_t slot : entry.items) vec->push_back(slots_[slot].part);
   const ItemVec* old = entry.pub->items.exchange(vec, kAcqRel);
   if (old != nullptr) {
     epoch_.Retire([old] { delete old; });
@@ -343,19 +232,21 @@ void CaqpCache::RepublishEntryItemsLocked(Shard& shard, Entry& entry) {
   }
 }
 
-void CaqpCache::RebuildIndexLocked(Shard& shard) {
-  auto* index = new ShardIndex;
-  index->entries.reserve(shard.entries.size() - shard.free_entries.size());
-  for (const Entry& entry : shard.entries) {
+void CaqpCache::RebuildIndexLocked() {
+  auto* index = new Index;
+  index->entries.reserve(entries_.size() - free_entries_.size());
+  index->postings.reserve(postings_.size());
+  for (const Entry& entry : entries_) {
     if (!entry.alive) continue;
     index->entries.push_back(entry.pub);
-    if (entry.relations.empty()) {
-      index->empty_rel_entry = entry.pub;
+    const PublishedEntry* pub = entry.pub.get();
+    if (pub->relations.empty()) {
+      index->empty_rel_entry = pub;
     } else {
-      index->postings[entry.relations.names().front()].push_back(entry.pub);
+      index->postings[pub->relations.names().front()].push_back(pub);
     }
   }
-  const ShardIndex* old = shard.published.exchange(index, kAcqRel);
+  const Index* old = published_.exchange(index, kAcqRel);
   epoch_.Retire([old] { delete old; });
   CaqpMetrics::Get().epoch_retired->Increment();
 }
@@ -365,299 +256,174 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
   CaqpMetrics::Get().insert_attempts->Increment();
   if (n_max_ == 0) return;
   RelationSignature new_sig = RelationSignature::Of(aqp.relations());
+  MutexLock lock(&mu_);
 
   // Keep only the most general parts. First: is the new part redundant?
-  // Checked lock-free against the published snapshots (the covering part
-  // is marked recently used: it proved useful again). This can miss a
-  // covering part being inserted concurrently; the shard-local recheck
-  // under the home shard's lock below closes exactly the case that
-  // matters — identical parts hash to the same shard, so the persistence
-  // mirror can never see a duplicate insert.
-  {
-    LookupWork scratch;  // insert-side searches are not lookup statistics
-    bool covered;
-    {
-      EpochReadGuard guard(&epoch_);
-      covered = FindCoveringPublished(aqp, new_sig, &scratch, nullptr);
-    }
-    if (covered) {
-      counters_.skipped_covered.fetch_add(1, kRelaxed);
-      CaqpMetrics::Get().skipped_covered->Increment();
-      return;
-    }
+  // Only mu_ holders publish or retire, so the published index is current
+  // and cannot be reclaimed under us: no epoch pin is needed. A covering
+  // part gets its reference bit set — it proved useful again.
+  LookupWork scratch;  // insert-side searches are not lookup statistics
+  if (FindCovering(*published_.load(kRelaxed), aqp, new_sig, &scratch)) {
+    counters_.skipped_covered.fetch_add(1, kRelaxed);
+    CaqpMetrics::Get().skipped_covered->Increment();
+    return;
   }
-
-  ReaderMutexLock maint(&maint_mu_);
 
   // Second: drop stored parts that the new one covers. They live in
-  // entries whose relation set is a superset of the new part's, which may
-  // reside in any shard — visit each shard in turn, one lock at a time.
-  for (size_t s = 0; s < shard_count_; ++s) {
-    Shard& shard = shards_[s];
-    MutexLock lock(&shard.mu);
-    bool membership_changed = false;
-    for (size_t id : SupersetCandidatesLocked(shard, aqp.relations())) {
-      Entry& entry = shard.entries[id];
-      if (!entry.alive) continue;
-      if (enable_signatures_ && !new_sig.MaybeSubsetOf(entry.signature)) {
-        continue;
-      }
-      if (!aqp.relations().IsSubsetOf(entry.relations)) continue;
-      std::vector<size_t> kept;
-      kept.reserve(entry.items.size());
-      bool entry_changed = false;
-      for (size_t slot : entry.items) {
-        Item& victim = shard.slots[slot];
-        if (aqp.Covers(victim.part->aqp)) {
-          if (listener_ != nullptr) {
-            listener_->OnRemove(victim.part->aqp, RemoveReason::kDisplaced);
-          }
-          victim.alive = false;
-          victim.part.reset();  // release the condition's memory
-          shard.free_slots.push_back(slot);
-          --shard.live;
-          live_total_.fetch_sub(1, kRelaxed);
-          counters_.removed_covered.fetch_add(1, kRelaxed);
-          CaqpMetrics::Get().removed_covered->Increment();
-          CaqpMetrics::Get().size->Add(-1);
-          entry_changed = true;
-        } else {
-          kept.push_back(slot);
-        }
-      }
-      if (!entry_changed) continue;
-      entry.items = std::move(kept);
-      if (entry.items.empty()) {
-        RemoveEntryLocked(shard, id);
-        membership_changed = true;
-      } else {
-        RepublishEntryItemsLocked(shard, entry);
-      }
+  // entries whose relation set is a superset of the new part's.
+  bool membership_changed = false;
+  for (size_t id : SupersetCandidatesLocked(aqp.relations())) {
+    const Entry& entry = entries_[id];
+    if (!entry.alive || !new_sig.MaybeSubsetOf(entry.signature) ||
+        !aqp.relations().IsSubsetOf(entry.relations)) {
+      continue;
     }
-    if (membership_changed) RebuildIndexLocked(shard);
+    membership_changed |= RemoveItemsIfLocked(
+        id, RemoveReason::kDisplaced,
+        [&aqp](const AtomicQueryPart& stored) {
+          return aqp.Covers(stored);
+        });
   }
 
-  // Capacity: make room before storing (no shard lock held — the evictor
-  // takes one shard at a time itself).
-  while (live_total_.load(kRelaxed) >= n_max_) {
-    if (!EvictOneGlobal()) break;
+  // Capacity: make room first, so N_max holds at every instant.
+  while (live_.load(kRelaxed) >= n_max_ && EvictOneLocked()) {
   }
 
-  {
-    Shard& home = shards_[ShardOfSet(aqp.relations())];
-    MutexLock lock(&home.mu);
-    // Shard-local redundancy recheck against writer state (see above).
-    if (ShardCoversLocked(home, aqp, new_sig)) {
-      counters_.skipped_covered.fetch_add(1, kRelaxed);
-      CaqpMetrics::Get().skipped_covered->Increment();
-      return;
-    }
-    bool created = false;
-    size_t entry_idx = GetOrCreateEntryLocked(home, aqp.relations(), &created);
-    size_t slot;
-    if (!home.free_slots.empty()) {
-      slot = home.free_slots.back();
-      home.free_slots.pop_back();
-    } else {
-      slot = home.slots.size();
-      home.slots.emplace_back();
-    }
-    Item& item = home.slots[slot];
-    item.part = std::make_shared<PubItem>();
-    item.part->aqp = aqp;
-    item.part->inserted_seq = seq_.fetch_add(1, kRelaxed) + 1;
-    item.part->ref.store(true, kRelaxed);
-    item.part->used_seq.store(item.part->inserted_seq, kRelaxed);
-    item.alive = true;
-    item.entry_index = entry_idx;
-    Entry& entry = home.entries[entry_idx];
-    entry.items.push_back(slot);
-    ++home.live;
-    live_total_.fetch_add(1, kRelaxed);
-    counters_.inserted.fetch_add(1, kRelaxed);
-    CaqpMetrics::Get().inserted->Increment();
-    CaqpMetrics::Get().size->Add(1);
-    RepublishEntryItemsLocked(home, entry);
-    if (created) RebuildIndexLocked(home);
-    if (listener_ != nullptr) listener_->OnInsert(aqp);
+  bool created = false;
+  const size_t entry_idx = GetOrCreateEntryLocked(aqp.relations(), &created);
+  size_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = slots_.size();
+    slots_.emplace_back();
   }
-
-  // A concurrent insert may have raced past the pre-pass above; compensate
-  // so the bound holds once every in-flight insert has run this loop.
-  while (live_total_.load(kRelaxed) > n_max_) {
-    if (!EvictOneGlobal()) break;
-  }
+  Item& item = slots_[slot];
+  item.part = std::make_shared<PubItem>();
+  item.part->aqp = aqp;
+  item.part->ref.store(true, kRelaxed);
+  item.alive = true;
+  item.entry_index = entry_idx;
+  Entry& entry = entries_[entry_idx];
+  entry.items.push_back(slot);
+  live_.fetch_add(1, kRelaxed);
+  counters_.inserted.fetch_add(1, kRelaxed);
+  CaqpMetrics::Get().inserted->Increment();
+  CaqpMetrics::Get().size->Add(1);
+  RepublishEntryItemsLocked(entry);
+  if (membership_changed || created) RebuildIndexLocked();
+  if (listener_ != nullptr) listener_->OnInsert(aqp);
 }
 
-bool CaqpCache::EvictClockLocked(Shard& shard) {
-  if (shard.live == 0 || shard.slots.empty()) return false;
+bool CaqpCache::EvictOneLocked() {
+  const size_t live = live_.load(kRelaxed);
+  if (live == 0 || slots_.empty()) return false;
   // Bounded two-pass sweep: the first full revolution may clear every
   // reference bit, the second must then find a victim — unless live and
   // slots disagree, which the repair path below handles instead of
   // spinning forever.
-  const size_t bound = 2 * shard.slots.size() + 1;
-  for (size_t step = 0; step < bound; ++step) {
-    if (shard.clock_hand >= shard.slots.size()) shard.clock_hand = 0;
-    Item& item = shard.slots[shard.clock_hand];
-    if (item.alive) {
-      if (item.part->ref.load(kRelaxed)) {
-        item.part->ref.store(false, kRelaxed);
-      } else {
-        RemoveItemLocked(shard, shard.clock_hand, RemoveReason::kEvicted);
-        ++shard.clock_hand;
-        return true;
-      }
+  const size_t bound = 2 * slots_.size() + 1;
+  for (size_t step = 0; step < bound; ++step, ++clock_hand_) {
+    if (clock_hand_ >= slots_.size()) clock_hand_ = 0;
+    Item& item = slots_[clock_hand_];
+    if (!item.alive) continue;
+    if (item.part->ref.load(kRelaxed)) {
+      item.part->ref.store(false, kRelaxed);
+      continue;
     }
-    ++shard.clock_hand;
+    const size_t victim = clock_hand_++;
+    const size_t entry_idx = item.entry_index;
+    Entry& entry = entries_[entry_idx];
+    entry.items.erase(
+        std::find(entry.items.begin(), entry.items.end(), victim));
+    ReleaseSlotLocked(victim, RemoveReason::kEvicted);
+    if (entry.items.empty()) {
+      RemoveEntryLocked(entry_idx);
+      RebuildIndexLocked();
+    } else {
+      RepublishEntryItemsLocked(entry);
+    }
+    return true;
   }
-  // shard.live > 0 yet no live slot was found: the bookkeeping has
-  // diverged. Re-derive the count so callers' capacity loops terminate
-  // rather than spin.
-  assert(false && "CaqpCache: shard.live > 0 but no live slot found");
+  // live > 0 yet no live slot was found: the bookkeeping has diverged.
+  // Re-derive the count so callers' capacity loops terminate rather than
+  // spin.
+  assert(false && "CaqpCache: live > 0 but no live slot found");
   size_t actual = 0;
-  for (const Item& item : shard.slots) {
+  for (const Item& item : slots_) {
     if (item.alive) ++actual;
   }
   CaqpMetrics::Get().size->Add(static_cast<int64_t>(actual) -
-                               static_cast<int64_t>(shard.live));
-  if (actual >= shard.live) {
-    live_total_.fetch_add(actual - shard.live, kRelaxed);
-  } else {
-    live_total_.fetch_sub(shard.live - actual, kRelaxed);
-  }
-  shard.live = actual;
+                               static_cast<int64_t>(live));
+  live_.store(actual, kRelaxed);
   return false;
 }
 
-bool CaqpCache::OldestInShardLocked(const Shard& shard, uint64_t* age,
-                                    size_t* slot) const {
-  bool found = false;
-  uint64_t best = ~uint64_t{0};
-  size_t victim = 0;
-  for (size_t i = 0; i < shard.slots.size(); ++i) {
-    const Item& item = shard.slots[i];
-    if (!item.alive) continue;
-    uint64_t a = policy_ == EvictionPolicy::kLru
-                     ? item.part->used_seq.load(kRelaxed)
-                     : item.part->inserted_seq;
-    if (!found || a < best) {
-      found = true;
-      best = a;
-      victim = i;
-    }
-  }
-  if (found) {
-    *age = best;
-    *slot = victim;
-  }
-  return found;
-}
-
-bool CaqpCache::EvictOneGlobal() {
-  if (policy_ == EvictionPolicy::kClock) {
-    // Round-robin over shards, each running its own clock sweep, so
-    // eviction pressure spreads instead of draining one shard.
-    const size_t start = evict_hand_.fetch_add(1, kRelaxed);
-    for (size_t i = 0; i < shard_count_; ++i) {
-      Shard& shard = shards_[(start + i) % shard_count_];
-      MutexLock lock(&shard.mu);
-      if (EvictClockLocked(shard)) {
-        counters_.evictions.fetch_add(1, kRelaxed);
-        CaqpMetrics::Get().evictions->Increment();
-        return true;
-      }
-    }
-    return false;
-  }
-  // LRU/FIFO: find the globally oldest part (one shard lock at a time),
-  // then re-lock the winning shard. Its minimum may have moved between
-  // the scan and the re-lock; evicting whatever is oldest there *now* is
-  // still a policy-faithful victim.
-  size_t best_shard = shard_count_;
-  uint64_t best_age = ~uint64_t{0};
-  for (size_t i = 0; i < shard_count_; ++i) {
-    Shard& shard = shards_[i];
-    MutexLock lock(&shard.mu);
-    uint64_t age = 0;
-    size_t slot = 0;
-    if (OldestInShardLocked(shard, &age, &slot) &&
-        (best_shard == shard_count_ || age < best_age)) {
-      best_age = age;
-      best_shard = i;
-    }
-  }
-  if (best_shard == shard_count_) return false;
-  Shard& winner = shards_[best_shard];
-  MutexLock lock(&winner.mu);
-  uint64_t age = 0;
-  size_t slot = 0;
-  if (!OldestInShardLocked(winner, &age, &slot)) return false;
-  RemoveItemLocked(winner, slot, RemoveReason::kEvicted);
-  counters_.evictions.fetch_add(1, kRelaxed);
-  CaqpMetrics::Get().evictions->Increment();
-  return true;
-}
-
-void CaqpCache::RemoveItemLocked(Shard& shard, size_t slot,
-                                 RemoveReason reason) {
-  Item& item = shard.slots[slot];
-  const size_t entry_idx = item.entry_index;
-  Entry& entry = shard.entries[entry_idx];
-  entry.items.erase(std::find(entry.items.begin(), entry.items.end(), slot));
-  if (listener_ != nullptr) {
-    listener_->OnRemove(item.part->aqp, reason);
-  }
+void CaqpCache::ReleaseSlotLocked(size_t slot, RemoveReason reason) {
+  Item& item = slots_[slot];
+  if (listener_ != nullptr) listener_->OnRemove(item.part->aqp, reason);
   item.alive = false;
   item.part.reset();  // release the condition's memory
-  shard.free_slots.push_back(slot);
-  --shard.live;
-  live_total_.fetch_sub(1, kRelaxed);
-  CaqpMetrics::Get().size->Add(-1);
-  if (entry.items.empty()) {
-    RemoveEntryLocked(shard, entry_idx);
-    RebuildIndexLocked(shard);
-  } else {
-    RepublishEntryItemsLocked(shard, entry);
+  free_slots_.push_back(slot);
+  live_.fetch_sub(1, kRelaxed);
+  const CaqpMetrics& global = CaqpMetrics::Get();
+  global.size->Add(-1);
+  switch (reason) {
+    case RemoveReason::kEvicted:
+      counters_.evictions.fetch_add(1, kRelaxed);
+      global.evictions->Increment();
+      break;
+    case RemoveReason::kDisplaced:
+      counters_.removed_covered.fetch_add(1, kRelaxed);
+      global.removed_covered->Increment();
+      break;
+    case RemoveReason::kInvalidated:
+      counters_.invalidation_drops.fetch_add(1, kRelaxed);
+      global.invalidation_drops->Increment();
+      break;
   }
 }
 
-void CaqpCache::DropEntryItemsLocked(Shard& shard, size_t idx) {
-  Entry& entry = shard.entries[idx];
+bool CaqpCache::RemoveItemsIfLocked(
+    size_t idx, RemoveReason reason,
+    const std::function<bool(const AtomicQueryPart&)>& pred) {
+  Entry& entry = entries_[idx];
+  std::vector<size_t> kept;
+  kept.reserve(entry.items.size());
   for (size_t slot : entry.items) {
-    Item& item = shard.slots[slot];
-    if (listener_ != nullptr) {
-      listener_->OnRemove(item.part->aqp, RemoveReason::kInvalidated);
+    if (pred(slots_[slot].part->aqp)) {
+      ReleaseSlotLocked(slot, reason);
+    } else {
+      kept.push_back(slot);
     }
-    item.alive = false;
-    item.part.reset();
-    shard.free_slots.push_back(slot);
-    --shard.live;
-    live_total_.fetch_sub(1, kRelaxed);
-    counters_.invalidation_drops.fetch_add(1, kRelaxed);
-    CaqpMetrics::Get().invalidation_drops->Increment();
-    CaqpMetrics::Get().size->Add(-1);
   }
-  entry.items.clear();
-  RemoveEntryLocked(shard, idx);
-  // The caller republishes (RebuildIndexLocked) once per shard.
+  if (kept.size() == entry.items.size()) return false;
+  entry.items = std::move(kept);
+  if (entry.items.empty()) {
+    RemoveEntryLocked(idx);
+    return true;
+  }
+  RepublishEntryItemsLocked(entry);
+  return false;
 }
 
-void CaqpCache::RemoveEntryLocked(Shard& shard, size_t idx) {
-  Entry& entry = shard.entries[idx];
-  shard.entry_index.erase(entry.relations.Key());
+void CaqpCache::RemoveEntryLocked(size_t idx) {
+  Entry& entry = entries_[idx];
+  entry_index_.erase(entry.relations.Key());
   if (entry.relations.empty()) {
-    if (shard.empty_rel_entry == idx) shard.empty_rel_entry = kNoEntry;
+    if (empty_rel_entry_ == idx) empty_rel_entry_ = kNoEntry;
   } else {
     for (const std::string& name : entry.relations.names()) {
-      auto it = shard.postings.find(name);
-      if (it == shard.postings.end()) continue;
+      auto it = postings_.find(name);
+      if (it == postings_.end()) continue;
       std::vector<size_t>& list = it->second;
       auto pos = std::find(list.begin(), list.end(), idx);
       if (pos != list.end()) {
         *pos = list.back();  // order within a posting list is irrelevant
         list.pop_back();
       }
-      if (list.empty()) shard.postings.erase(it);
+      if (list.empty()) postings_.erase(it);
     }
   }
   entry.alive = false;
@@ -667,28 +433,27 @@ void CaqpCache::RemoveEntryLocked(Shard& shard, size_t idx) {
   // Snapshots still referencing the published face keep it alive; the
   // writer just drops its reference.
   entry.pub.reset();
-  shard.free_entries.push_back(idx);
+  free_entries_.push_back(idx);
 }
 
-size_t CaqpCache::GetOrCreateEntryLocked(Shard& shard,
-                                         const RelationSet& relations,
+size_t CaqpCache::GetOrCreateEntryLocked(const RelationSet& relations,
                                          bool* created) {
   std::string key = relations.Key();
-  auto it = shard.entry_index.find(key);
-  if (it != shard.entry_index.end()) {
+  auto it = entry_index_.find(key);
+  if (it != entry_index_.end()) {
     *created = false;
     return it->second;
   }
   *created = true;
   size_t idx;
-  if (!shard.free_entries.empty()) {
-    idx = shard.free_entries.back();
-    shard.free_entries.pop_back();
+  if (!free_entries_.empty()) {
+    idx = free_entries_.back();
+    free_entries_.pop_back();
   } else {
-    shard.entries.emplace_back();
-    idx = shard.entries.size() - 1;
+    entries_.emplace_back();
+    idx = entries_.size() - 1;
   }
-  Entry& entry = shard.entries[idx];
+  Entry& entry = entries_[idx];
   entry.alive = true;
   entry.relations = relations;
   entry.signature = RelationSignature::Of(relations);
@@ -698,13 +463,13 @@ size_t CaqpCache::GetOrCreateEntryLocked(Shard& shard,
   entry.pub->signature = entry.signature;
   entry.pub->items.store(new ItemVec, std::memory_order_release);
   if (relations.empty()) {
-    shard.empty_rel_entry = idx;
+    empty_rel_entry_ = idx;
   } else {
     for (const std::string& name : relations.names()) {
-      shard.postings[name].push_back(idx);
+      postings_[name].push_back(idx);
     }
   }
-  shard.entry_index.emplace(std::move(key), idx);
+  entry_index_.emplace(std::move(key), idx);
   return idx;
 }
 
@@ -713,102 +478,61 @@ size_t CaqpCache::GetOrCreateEntryLocked(Shard& shard,
 // ---------------------------------------------------------------------------
 
 void CaqpCache::Clear() {
-  WriterMutexLock maint(&maint_mu_);
+  MutexLock lock(&mu_);
   if (listener_ != nullptr) listener_->OnClear();
-  size_t removed = 0;
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    removed += shard.live;
-    shard.slots.clear();
-    shard.free_slots.clear();
-    shard.entries.clear();
-    shard.free_entries.clear();
-    shard.entry_index.clear();
-    shard.postings.clear();
-    shard.empty_rel_entry = kNoEntry;
-    shard.live = 0;
-    shard.clock_hand = 0;
-    RebuildIndexLocked(shard);  // publishes an empty snapshot
-  }
-  CaqpMetrics::Get().size->Add(-static_cast<int64_t>(removed));
-  // The exclusive gate kept every mutator out, so `removed` is exact.
-  live_total_.store(0, kRelaxed);
+  CaqpMetrics::Get().size->Add(-static_cast<int64_t>(live_.load(kRelaxed)));
+  live_.store(0, kRelaxed);
+  slots_.clear();
+  free_slots_.clear();
+  entries_.clear();
+  free_entries_.clear();
+  entry_index_.clear();
+  postings_.clear();
+  empty_rel_entry_ = kNoEntry;
+  clock_hand_ = 0;
+  RebuildIndexLocked();  // publishes an empty snapshot
 }
 
 void CaqpCache::InvalidateRelation(const std::string& base_name) {
   std::string base = ToLower(base_name);
   std::string prefix = base + "#";
   std::string partition_prefix = base + "@";
-  ReaderMutexLock maint(&maint_mu_);
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    // The writer-side posting keys are exactly the relation names of this
-    // shard's resident entries, so matching keys (base, renamed
-    // occurrences "base#k", or partition tags "base@k") enumerate the
-    // affected entries. A self-join entry appears under several matching
-    // names — dedup before dropping, and copy the ids out because
-    // dropping mutates the index.
-    std::vector<size_t> affected;
-    for (const auto& [name, list] : shard.postings) {
-      if (name == base || StartsWith(name, prefix) ||
-          StartsWith(name, partition_prefix)) {
-        affected.insert(affected.end(), list.begin(), list.end());
-      }
+  MutexLock lock(&mu_);
+  // The writer-side posting keys are exactly the relation names of live
+  // entries, so matching keys (base, renamed occurrences "base#k", or
+  // partition tags "base@k") enumerate the affected entries. A self-join
+  // entry appears under several matching names — dedup before dropping,
+  // and copy the ids out because dropping mutates the index.
+  std::vector<size_t> affected;
+  for (const auto& [name, list] : postings_) {
+    if (name == base || StartsWith(name, prefix) ||
+        StartsWith(name, partition_prefix)) {
+      affected.insert(affected.end(), list.begin(), list.end());
     }
-    if (affected.empty()) continue;
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    for (size_t idx : affected) DropEntryItemsLocked(shard, idx);
-    RebuildIndexLocked(shard);
   }
+  if (affected.empty()) return;
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
+  for (size_t idx : affected) {
+    RemoveItemsIfLocked(idx, RemoveReason::kInvalidated,
+                        [](const AtomicQueryPart&) { return true; });
+  }
+  RebuildIndexLocked();
 }
 
 size_t CaqpCache::DropIf(
     const std::function<bool(const AtomicQueryPart&)>& pred) {
-  ReaderMutexLock maint(&maint_mu_);
-  size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    bool membership_changed = false;
-    for (size_t idx = 0; idx < shard.entries.size(); ++idx) {
-      Entry& entry = shard.entries[idx];
-      if (!entry.alive) continue;
-      std::vector<size_t> kept;
-      kept.reserve(entry.items.size());
-      bool entry_changed = false;
-      for (size_t slot : entry.items) {
-        Item& item = shard.slots[slot];
-        if (pred(item.part->aqp)) {
-          if (listener_ != nullptr) {
-            listener_->OnRemove(item.part->aqp, RemoveReason::kInvalidated);
-          }
-          item.alive = false;
-          item.part.reset();
-          shard.free_slots.push_back(slot);
-          --shard.live;
-          live_total_.fetch_sub(1, kRelaxed);
-          ++dropped;
-          counters_.invalidation_drops.fetch_add(1, kRelaxed);
-          CaqpMetrics::Get().invalidation_drops->Increment();
-          CaqpMetrics::Get().size->Add(-1);
-          entry_changed = true;
-        } else {
-          kept.push_back(slot);
-        }
-      }
-      if (!entry_changed) continue;
-      entry.items = std::move(kept);
-      if (entry.items.empty()) {
-        RemoveEntryLocked(shard, idx);
-        membership_changed = true;
-      } else {
-        RepublishEntryItemsLocked(shard, entry);
-      }
-    }
-    if (membership_changed) RebuildIndexLocked(shard);
+  MutexLock lock(&mu_);
+  const size_t before = live_.load(kRelaxed);
+  bool membership_changed = false;
+  for (size_t idx = 0; idx < entries_.size(); ++idx) {
+    if (!entries_[idx].alive) continue;
+    membership_changed |=
+        RemoveItemsIfLocked(idx, RemoveReason::kInvalidated, pred);
   }
-  return dropped;
+  if (membership_changed) RebuildIndexLocked();
+  return before - live_.load(kRelaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -829,25 +553,15 @@ CaqpCache::CacheStats CaqpCache::stats_snapshot() const {
   out.postings_scanned = counters_.postings_scanned.load(kRelaxed);
   out.candidate_entries = counters_.candidate_entries.load(kRelaxed);
   out.signature_rejects = counters_.signature_rejects.load(kRelaxed);
-  out.shards = shard_count_;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    out.entries_live += shard.entries.size() - shard.free_entries.size();
-    out.entries_allocated += shard.entries.size();
-    out.index_names += shard.postings.size();
-    if (shard.live > out.shard_max_live) out.shard_max_live = shard.live;
+  {
+    MutexLock lock(&mu_);
+    out.entries_live = entries_.size() - free_entries_.size();
+    out.entries_allocated = entries_.size();
+    out.index_names = postings_.size();
   }
   EpochManager::Stats es = epoch_.GetStats();
   out.epoch_pending = es.pending;
-  // Refresh the sampled gauges: imbalance is the fullest shard relative
-  // to a perfectly even spread, in percent (100 = balanced).
-  const size_t live = live_total_.load(kRelaxed);
-  const CaqpMetrics& global = CaqpMetrics::Get();
-  global.epoch_pending->Set(static_cast<int64_t>(es.pending));
-  global.shard_imbalance->Set(
-      live == 0 ? 0
-                : static_cast<int64_t>(100 * out.shard_max_live *
-                                       shard_count_ / live));
+  CaqpMetrics::Get().epoch_pending->Set(static_cast<int64_t>(es.pending));
   return out;
 }
 
@@ -867,18 +581,12 @@ void CaqpCache::ResetStats() {
 }
 
 std::string CaqpCache::Explain() const {
-  size_t entries_live = 0;
-  size_t entries_allocated = 0;
-  size_t names = 0;
   size_t max_list = 0;
   std::string max_name;
   uint64_t total_list = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    entries_live += shard.entries.size() - shard.free_entries.size();
-    entries_allocated += shard.entries.size();
-    names += shard.postings.size();
-    for (const auto& [name, list] : shard.postings) {
+  {
+    MutexLock lock(&mu_);
+    for (const auto& [name, list] : postings_) {
       total_list += list.size();
       if (list.size() > max_list) {
         max_list = list.size();
@@ -886,11 +594,8 @@ std::string CaqpCache::Explain() const {
       }
     }
   }
-  const size_t live = live_total_.load(kRelaxed);
+  const size_t live = live_.load(kRelaxed);
   CacheStats s = stats_snapshot();
-  const char* policy = policy_ == EvictionPolicy::kClock  ? "clock"
-                       : policy_ == EvictionPolicy::kLru  ? "lru"
-                                                          : "fifo";
   auto per_lookup = [&](uint64_t v) {
     return s.lookups == 0 ? 0.0
                           : static_cast<double>(v) /
@@ -900,22 +605,18 @@ std::string CaqpCache::Explain() const {
   std::string out;
   std::snprintf(buf, sizeof(buf),
                 "C_aqp: %llu/%llu parts in %llu entries (%llu allocated), "
-                "%llu names indexed, policy=%s, signatures=%s, index=%s, "
-                "shards=%llu\n",
+                "%llu names indexed\n",
                 static_cast<unsigned long long>(live),
                 static_cast<unsigned long long>(n_max_),
-                static_cast<unsigned long long>(entries_live),
-                static_cast<unsigned long long>(entries_allocated),
-                static_cast<unsigned long long>(names), policy,
-                enable_signatures_ ? "on" : "off",
-                enable_index_ ? "on" : "off",
-                static_cast<unsigned long long>(shard_count_));
+                static_cast<unsigned long long>(s.entries_live),
+                static_cast<unsigned long long>(s.entries_allocated),
+                static_cast<unsigned long long>(s.index_names));
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "index fan-out: avg posting list %.2f, max %llu (\"%s\")\n",
-                names == 0 ? 0.0
-                           : static_cast<double>(total_list) /
-                                 static_cast<double>(names),
+                s.index_names == 0 ? 0.0
+                                   : static_cast<double>(total_list) /
+                                         static_cast<double>(s.index_names),
                 static_cast<unsigned long long>(max_list), max_name.c_str());
   out += buf;
   std::snprintf(
@@ -934,20 +635,18 @@ std::string CaqpCache::Explain() const {
 }
 
 void CaqpCache::SetChangeListener(ChangeListener* listener) {
-  WriterMutexLock maint(&maint_mu_);
+  MutexLock lock(&mu_);
   listener_ = listener;
 }
 
 std::vector<AtomicQueryPart> CaqpCache::Snapshot() const {
   std::vector<AtomicQueryPart> out;
-  out.reserve(live_total_.load(kRelaxed));
+  out.reserve(live_.load(kRelaxed));
   EpochReadGuard guard(&epoch_);
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const ShardIndex* idx = shards_[s].published.load(kAcquire);
-    for (const PublishedEntryPtr& entry : idx->entries) {
-      const ItemVec* items = entry->items.load(kAcquire);
-      for (const PubItemPtr& part : *items) out.push_back(part->aqp);
-    }
+  const Index* index = published_.load(kAcquire);
+  for (const PublishedEntryPtr& entry : index->entries) {
+    const ItemVec* items = entry->items.load(kAcquire);
+    for (const PubItemPtr& part : *items) out.push_back(part->aqp);
   }
   return out;
 }

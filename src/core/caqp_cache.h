@@ -1,13 +1,14 @@
 #pragma once
 
 /// \file
-/// CaqpCache — the bounded, sharded, epoch-protected C_aqp collection.
+/// CaqpCache — the bounded, epoch-protected C_aqp collection.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "common/lock_order.h"
 #include "common/thread_annotations.h"
 #include "core/atomic_query_part.h"
-#include "core/config.h"
 #include "core/signature.h"
 
 namespace erq {
@@ -28,48 +28,40 @@ namespace erq {
 /// comparatively rare — so the two sides are synchronized differently:
 ///
 ///   * Lookups (`CoveredBy`, `CoveredByBatch`, `Snapshot`) take NO lock at
-///     all. Each shard publishes an immutable index snapshot behind an
+///     all. The cache publishes an immutable index snapshot behind an
 ///     atomic pointer; a reader enters an epoch (common/epoch.h), walks the
-///     published snapshots, and exits. Writers retire replaced snapshots
+///     published snapshot, and exits. Writers retire replaced snapshots
 ///     through the epoch domain, so readers never touch freed memory and
 ///     concurrent lookups never serialize on anything but their own
 ///     cache-line-striped epoch counters. The bookkeeping a lookup does
-///     mutate — clock reference bits, LRU sequence numbers, statistics —
-///     lives in relaxed atomics shared between the writer state and every
-///     published snapshot, so recency survives republication.
-///   * Mutators (`Insert`, `InvalidateRelation`, `DropIf`) hash each entry
-///     to one of `shards` independent shards (by the entry's first relation
-///     name) and take only that shard's mutex plus the *shared* side of a
-///     cache-wide maintenance gate; mutations of different shards run in
-///     parallel. `Clear` and `SetChangeListener` take the gate exclusively,
-///     so they are atomic with respect to every in-flight mutation (the
-///     persistence journal and memory can never diverge across a Clear).
+///     mutate — clock reference bits and statistics — lives in relaxed
+///     atomics shared between the writer state and every published
+///     snapshot, so recency survives republication.
+///   * Mutators (`Insert`, `InvalidateRelation`, `DropIf`, `Clear`) and
+///     `SetChangeListener` serialize on one writer mutex. Only its holder
+///     publishes, so under it the published index is current: Insert runs
+///     its redundancy check, displacement, eviction and store as one
+///     critical section, and N_max is a strict bound at every instant.
 ///
 /// Organization follows the paper: one entry per relation-name set, each
-/// holding the list of selection conditions stored for that set. An entry
-/// resides in the shard of its first (lexicographically smallest) relation
-/// name; since a stored set ⊆ probe set always contains its own first
-/// name, probing the shards of the probe's names finds every candidate
-/// exactly once. Within a shard, entry search is sub-linear: the published
-/// index maps each first name to the entries residing under it, and the
+/// holding the list of selection conditions stored for that set. Entry
+/// search is sub-linear: the published index maps each relation name to
+/// the entries whose first (lexicographically smallest) name it is — a
+/// stored set ⊆ probe set contains its own first name, so walking the
+/// probe's names visits every candidate exactly once — and the
 /// superimposed-coding signatures [31] remain as a second-level filter
 /// before the exact subset test. Entries whose last stored part is removed
 /// are garbage-collected (index keys and entry slots are reclaimed through
-/// per-shard free lists), so churny invalidate/insert workloads cannot
-/// grow the entry table without bound. Capacity is bounded by N_max across
-/// all shards: every Insert returns only once the cache is back within
-/// N_max, but because mutators hold one shard lock at a time (never a
-/// global exclusive lock), concurrent in-flight inserts may transiently
-/// overshoot the bound by at most one part each. Replacement is clock
-/// (reference bits set on coverage hits), LRU, or FIFO; redundancy is
-/// removed by keeping only the most general parts
-/// (covered parts are dropped on insert, and an insert that is itself
-/// covered is skipped).
+/// free lists), so churny invalidate/insert workloads cannot grow the
+/// entry table without bound. Replacement is clock (reference bits set on
+/// coverage hits); redundancy is removed by keeping only the most general
+/// parts (covered parts are dropped on insert, and an insert that is
+/// itself covered is skipped).
 class CaqpCache {
  public:
   /// Why a stored part left the cache (passed to ChangeListener::OnRemove).
   enum class RemoveReason {
-    /// Capacity eviction (clock/LRU/FIFO victim).
+    /// Capacity eviction (clock victim).
     kEvicted,
     /// Displaced on insert by a more general covering part.
     kDisplaced,
@@ -78,14 +70,10 @@ class CaqpCache {
   };
 
   /// Observer of cache mutations, used by the persistence layer to
-  /// journal every change. Callbacks run under the owning shard's lock (a
-  /// part's shard is a pure function of the part, so callbacks for any one
-  /// part are serialized and arrive in mutation order — for an Insert that
-  /// displaces covered parts, the OnRemove calls precede the OnInsert).
-  /// Callbacks for parts of *different* shards may interleave; OnClear
-  /// runs under the cache's exclusive maintenance gate, so no other
-  /// callback is in flight around it. Implementations must be fast and
-  /// must not call back into the cache.
+  /// journal every change. Callbacks run under the writer mutex, so they
+  /// arrive in mutation order (for an Insert that displaces or evicts
+  /// parts, the OnRemove calls precede the OnInsert) and never overlap.
+  /// Implementations must be fast and must not call back into the cache.
   class ChangeListener {
    public:
     virtual ~ChangeListener() = default;
@@ -121,23 +109,13 @@ class CaqpCache {
     // Gauges sampled when stats_snapshot() is called.
     uint64_t entries_live = 0;       ///< entries currently holding parts
     uint64_t entries_allocated = 0;  ///< entry slots ever allocated (bounded
-                                     ///< by GC + free-list reuse, summed
-                                     ///< over shards)
+                                     ///< by GC + free-list reuse)
     uint64_t index_names = 0;        ///< distinct relation names indexed
-    uint64_t shards = 0;             ///< shard count (fixed at construction)
-    uint64_t shard_max_live = 0;     ///< parts in the fullest shard
     uint64_t epoch_pending = 0;      ///< retired snapshots not yet reclaimed
   };
 
-  /// Default shard count: enough to keep 8 writer threads from colliding
-  /// while the per-shard index stays dense. `shards=1` is the unsharded
-  /// ablation baseline.
-  static constexpr size_t kDefaultShards = 8;
-
-  explicit CaqpCache(size_t n_max,
-                     EvictionPolicy policy = EvictionPolicy::kClock,
-                     bool enable_signatures = true, bool enable_index = true,
-                     size_t shards = kDefaultShards);
+  /// A cache holding at most `n_max` parts (0 stores nothing).
+  explicit CaqpCache(size_t n_max);
 
   /// Reconciles the global `erq.caqp.size` gauge (this instance's live
   /// parts are subtracted from the process-wide aggregate) and reclaims
@@ -145,102 +123,90 @@ class CaqpCache {
   ~CaqpCache();
 
   /// True if some stored atomic query part covers `aqp` — i.e. the output
-  /// of `aqp` is provably empty (Theorem 2). Marks the covering part as
-  /// recently used. Lock-free: runs inside an epoch critical section over
-  /// the published shard snapshots, so any number of sessions probe
+  /// of `aqp` is provably empty (Theorem 2). Sets the covering part's
+  /// clock reference bit. Lock-free: runs inside an epoch critical section
+  /// over the published snapshot, so any number of sessions probe
   /// concurrently without serializing.
   bool CoveredBy(const AtomicQueryPart& aqp);
 
   /// Batched CoveredBy: answers every probe in `aqps` inside a single
-  /// epoch critical section, loading each shard's published snapshot at
-  /// most once and flushing statistics once, so the per-probe overhead
-  /// amortizes across the batch. Element i of the result is nonzero iff
-  /// CoveredBy(*aqps[i]) would return true; covering parts are marked
-  /// recently used exactly as in CoveredBy, and every probe counts as one
-  /// lookup in the statistics.
+  /// epoch critical section against one published snapshot, flushing
+  /// statistics once, so the per-probe overhead amortizes across the
+  /// batch. Element i of the result is nonzero iff CoveredBy(*aqps[i])
+  /// would return true; covering parts get their reference bit set exactly
+  /// as in CoveredBy, and every probe counts as one lookup in the
+  /// statistics.
   std::vector<uint8_t> CoveredByBatch(
       const std::vector<const AtomicQueryPart*>& aqps);
 
   /// Stores `aqp` (harvested from an empty-result query part), enforcing
-  /// the redundancy and capacity rules above. Takes the shared maintenance
-  /// gate plus one shard lock at a time.
-  void Insert(const AtomicQueryPart& aqp) ERQ_EXCLUDES(maint_mu_);
+  /// the redundancy and capacity rules above under the writer mutex.
+  void Insert(const AtomicQueryPart& aqp) ERQ_EXCLUDES(mu_);
 
-  /// Number of stored atomic query parts (all shards).
-  size_t size() const {
-    return live_total_.load(std::memory_order_relaxed);
-  }
+  /// Number of stored atomic query parts.
+  size_t size() const { return live_.load(std::memory_order_relaxed); }
   /// Capacity bound N_max fixed at construction.
   size_t n_max() const { return n_max_; }
-  /// Number of shards fixed at construction.
-  size_t shard_count() const { return shard_count_; }
 
   /// Drops every stored part (used on database-wide invalidation).
-  /// Exclusive: waits for in-flight mutators, so the change-listener
-  /// journal observes the clear atomically.
-  void Clear() ERQ_EXCLUDES(maint_mu_);
+  void Clear() ERQ_EXCLUDES(mu_);
 
   /// Drops every stored part whose relation set mentions `base_name`
   /// (including renamed occurrences "base#k").
-  void InvalidateRelation(const std::string& base_name)
-      ERQ_EXCLUDES(maint_mu_);
+  void InvalidateRelation(const std::string& base_name) ERQ_EXCLUDES(mu_);
 
   /// Drops every stored part for which `pred` returns true; returns the
   /// number dropped. Used by the irrelevant-update filter.
   size_t DropIf(const std::function<bool(const AtomicQueryPart&)>& pred)
-      ERQ_EXCLUDES(maint_mu_);
+      ERQ_EXCLUDES(mu_);
 
   /// Relaxed value-type snapshot of the counters plus index gauges — never
   /// a live reference. Counters are updated lock-free, so a snapshot taken
   /// while lookups are in flight is approximate (each counter is
   /// individually accurate). The same counters are mirrored, aggregated
   /// across instances, into MetricsRegistry::Global() as `erq.caqp.*`;
-  /// sampling here also refreshes the `erq.caqp.epoch.*` and
-  /// `erq.caqp.shard_imbalance` gauges.
-  CacheStats stats_snapshot() const;
+  /// sampling here also refreshes the `erq.caqp.epoch.pending` gauge.
+  CacheStats stats_snapshot() const ERQ_EXCLUDES(mu_);
   /// Zeroes every counter (gauges are recomputed on the next snapshot).
   void ResetStats();
 
   /// Human-readable description of the cache internals: occupancy, index
   /// shape (posting-list fan-out), and per-lookup work averages.
-  std::string Explain() const;
+  std::string Explain() const ERQ_EXCLUDES(mu_);
 
   /// Copies of all live parts (tests / debugging). Reads the published
-  /// snapshots under an epoch guard, so it is safe concurrently with
+  /// snapshot under an epoch guard, so it is safe concurrently with
   /// mutators; with no mutator in flight it is exact.
   std::vector<AtomicQueryPart> Snapshot() const;
 
   /// Installs (or, with nullptr, detaches) the mutation observer. The
   /// caller owns `listener` and must keep it alive until it is detached
-  /// or the cache is destroyed; the swap takes the exclusive maintenance
-  /// gate, so no callback is in flight once SetChangeListener returns.
-  void SetChangeListener(ChangeListener* listener) ERQ_EXCLUDES(maint_mu_);
+  /// or the cache is destroyed; the swap takes the writer mutex, so no
+  /// callback is in flight once SetChangeListener returns.
+  void SetChangeListener(ChangeListener* listener) ERQ_EXCLUDES(mu_);
 
  private:
   static constexpr size_t kNoEntry = static_cast<size_t>(-1);
 
   /// One stored condition, shared between the writer-side slot table and
-  /// every published snapshot that mentions it, so the recency bits a
-  /// lookup sets survive republication and stay visible to the evictor.
+  /// every published snapshot that mentions it, so the reference bit a
+  /// lookup sets survives republication and stays visible to the evictor.
   struct PubItem {
     AtomicQueryPart aqp;
-    uint64_t inserted_seq = 0;  // FIFO age, fixed at insert
-    // Recency bookkeeping mutated by lock-free lookups: relaxed atomics,
+    // Clock reference bit, set by lock-free lookups: a relaxed atomic,
     // mutable so the reader path stays const.
-    mutable std::atomic<bool> ref{false};       // clock reference bit
-    mutable std::atomic<uint64_t> used_seq{0};  // LRU age
+    mutable std::atomic<bool> ref{false};
   };
   using PubItemPtr = std::shared_ptr<PubItem>;
   using ItemVec = std::vector<PubItemPtr>;
 
   /// Reader-visible face of one entry. The object is stable for the
-  /// entry's lifetime (the shard index only changes when entries are
-  /// created or garbage-collected); item-level changes swap the `items`
-  /// pointer and epoch-retire the old vector, so the common mutation —
-  /// adding or dropping one condition of an existing relation set — never
-  /// rebuilds the shard index. The destructor (which runs only after
-  /// every snapshot naming the entry has been reclaimed) frees the final
-  /// vector.
+  /// entry's lifetime (the index only changes when entries are created or
+  /// garbage-collected); item-level changes swap the `items` pointer and
+  /// epoch-retire the old vector, so the common mutation — adding or
+  /// dropping one condition of an existing relation set — never rebuilds
+  /// the index. The destructor (which runs only after every snapshot
+  /// naming the entry has been reclaimed) frees the final vector.
   struct PublishedEntry {
     RelationSet relations;
     RelationSignature signature;
@@ -249,20 +215,23 @@ class CaqpCache {
   };
   using PublishedEntryPtr = std::shared_ptr<PublishedEntry>;
 
-  /// Immutable per-shard index snapshot readers walk under an epoch
-  /// guard. Replaced wholesale (and the predecessor epoch-retired) when
-  /// the shard's entry membership changes.
-  struct ShardIndex {
-    // First relation name -> entries residing under it. Keyed by first
-    // name only: an entry is a candidate for a probe name exactly when it
-    // resides under that name, so no per-posting filter is needed.
-    std::unordered_map<std::string, std::vector<PublishedEntryPtr>> postings;
-    // The (at most one, shard 0 only) entry over the empty relation set:
-    // a subset of everything, posted nowhere.
-    PublishedEntryPtr empty_rel_entry;
-    // Every live entry, for the enable_index=false linear-scan ablation
-    // and Snapshot().
+  /// Immutable index snapshot readers walk under an epoch guard. Replaced
+  /// wholesale (and the predecessor epoch-retired) when entry membership
+  /// changes. `entries` owns every live entry; the other members point
+  /// into them, so a rebuild copies no strings and touches no reference
+  /// counts beyond one per entry.
+  struct Index {
+    // Every live entry: the owners behind `postings` and
+    // `empty_rel_entry`, and what Snapshot() walks.
     std::vector<PublishedEntryPtr> entries;
+    // First relation name -> entries whose first name it is. An entry is
+    // a candidate for a probe name exactly when it is posted under that
+    // name, so no per-posting filter is needed.
+    std::unordered_map<std::string_view, std::vector<const PublishedEntry*>>
+        postings;
+    // The (at most one) entry over the empty relation set: a subset of
+    // everything, posted nowhere.
+    const PublishedEntry* empty_rel_entry = nullptr;
   };
 
   /// Writer-side slot for one stored condition.
@@ -279,31 +248,6 @@ class CaqpCache {
     RelationSignature signature;
     std::vector<size_t> items;  // slot indices
     PublishedEntryPtr pub;      // the stable reader-visible face
-  };
-
-  /// One independent shard: writer state under `mu`, reader state behind
-  /// `published`. An entry resides in the shard of its first relation
-  /// name (ShardOf); the writer-side `postings` maps *every* name of a
-  /// resident entry to it (superset search and invalidation need all
-  /// names), while the published index is keyed by first name only.
-  struct Shard {
-    mutable Mutex mu ERQ_ACQUIRED_AFTER(lock_order::kCaqpShard)
-        ERQ_ACQUIRED_BEFORE(lock_order::kEpoch,
-                            lock_order::kPersistence){lock_order::kCaqpShard};
-    std::vector<Item> slots ERQ_GUARDED_BY(mu);
-    std::vector<size_t> free_slots ERQ_GUARDED_BY(mu);
-    std::vector<Entry> entries ERQ_GUARDED_BY(mu);
-    std::vector<size_t> free_entries ERQ_GUARDED_BY(mu);
-    std::unordered_map<std::string, size_t> entry_index ERQ_GUARDED_BY(mu);
-    std::unordered_map<std::string, std::vector<size_t>> postings
-        ERQ_GUARDED_BY(mu);
-    size_t empty_rel_entry ERQ_GUARDED_BY(mu) = kNoEntry;
-    size_t live ERQ_GUARDED_BY(mu) = 0;  // parts resident in this shard
-    size_t clock_hand ERQ_GUARDED_BY(mu) = 0;
-    // The published snapshot; never null after construction. Writers
-    // exchange under `mu` and epoch-retire the predecessor; readers load
-    // (acquire) inside an epoch critical section.
-    std::atomic<const ShardIndex*> published{nullptr};
   };
 
   /// Per-lookup work tally, accumulated locally and flushed to the atomic
@@ -332,116 +276,95 @@ class CaqpCache {
     std::atomic<uint64_t> signature_rejects{0};
   };
 
-  /// Shard of a relation name / of an entry's relation set (its first
-  /// name; the empty set lives in shard 0).
-  size_t ShardOf(const std::string& name) const;
-  size_t ShardOfSet(const RelationSet& relations) const;
+  // ---- read path over a published snapshot -----------------------------
 
-  // ---- lock-free read path (requires an epoch critical section) --------
-
-  /// Core subset search over the published snapshots: finds a stored part
-  /// covering `aqp`, marks it recently used, and returns true. `loaded`
-  /// (size shard_count_) caches each shard's snapshot pointer across the
-  /// probes of one batch; single lookups pass nullptr and load directly.
-  bool FindCoveringPublished(const AtomicQueryPart& aqp,
-                             const RelationSignature& query_sig,
-                             LookupWork* work,
-                             std::vector<const ShardIndex*>* loaded) const;
-  bool EntryCoversPublished(const PublishedEntry& entry,
-                            const AtomicQueryPart& aqp,
-                            const RelationSignature& query_sig,
-                            LookupWork* work) const;
-  const ShardIndex* LoadIndex(size_t shard_id,
-                              std::vector<const ShardIndex*>* loaded) const;
+  /// Subset search over `index`: finds a stored part covering `aqp`, sets
+  /// its reference bit, and returns true. Callers either pin an epoch or
+  /// hold `mu_` (under which the published index cannot be retired).
+  bool FindCovering(const Index& index, const AtomicQueryPart& aqp,
+                    const RelationSignature& query_sig,
+                    LookupWork* work) const;
+  bool EntryCovers(const PublishedEntry& entry, const AtomicQueryPart& aqp,
+                   const RelationSignature& query_sig,
+                   LookupWork* work) const;
+  /// Adds `n` lookups (`hits` of them hits) and their work tally to the
+  /// instance and global counters, one relaxed add each.
+  void FlushLookups(uint64_t n, uint64_t hits, const LookupWork& work);
 
   // ---- writer path ------------------------------------------------------
 
-  /// Shard-local redundancy check under the target shard's lock, against
-  /// writer state (the lock-free pre-check can race a concurrent insert of
-  /// the same part; exact duplicates always hash to the same shard, so
-  /// this recheck is what keeps the persistence mirror duplicate-free).
-  bool ShardCoversLocked(const Shard& shard, const AtomicQueryPart& aqp,
-                         const RelationSignature& query_sig) const
-      ERQ_REQUIRES(shard.mu);
-  bool EntryCoversLocked(const Shard& shard, const Entry& entry,
-                         const AtomicQueryPart& aqp,
-                         const RelationSignature& query_sig) const
-      ERQ_REQUIRES(shard.mu);
-
-  /// Ids of this shard's entries whose relation set could be a superset of
-  /// `relations` (every superset entry posts under each of `relations`'
-  /// names, so the rarest name's posting list suffices; a name absent from
-  /// this shard's postings means no resident superset). Copied out because
-  /// the caller mutates the index while processing.
+  /// Ids of entries whose relation set could be a superset of `relations`
+  /// (every superset entry posts under each of `relations`' names, so the
+  /// rarest name's posting list suffices). Copied out because the caller
+  /// mutates the index while processing.
   std::vector<size_t> SupersetCandidatesLocked(
-      const Shard& shard, const RelationSet& relations) const
-      ERQ_REQUIRES(shard.mu);
+      const RelationSet& relations) const ERQ_REQUIRES(mu_);
 
-  /// Evicts one part from some shard, honoring the global policy: clock
-  /// rotates a shard hand and sweeps per-shard clocks; LRU/FIFO scan all
-  /// shards for the globally oldest part, then re-lock its shard to evict
-  /// it. Returns false when every shard is empty (callers' capacity loops
-  /// terminate). Locks one shard at a time; callers must hold none.
-  bool EvictOneGlobal() ERQ_REQUIRES_SHARED(maint_mu_);
-  /// One bounded clock revolution over `shard`; true if a victim fell.
-  bool EvictClockLocked(Shard& shard) ERQ_REQUIRES_SHARED(maint_mu_)
-      ERQ_REQUIRES(shard.mu);
-  /// Age of shard's oldest part under LRU/FIFO, and its slot.
-  bool OldestInShardLocked(const Shard& shard, uint64_t* age,
-                           size_t* slot) const ERQ_REQUIRES(shard.mu);
+  /// One bounded clock revolution; false when the cache holds no part
+  /// (callers' capacity loops terminate).
+  bool EvictOneLocked() ERQ_REQUIRES(mu_);
 
-  void RemoveItemLocked(Shard& shard, size_t slot, RemoveReason reason)
-      ERQ_REQUIRES_SHARED(maint_mu_) ERQ_REQUIRES(shard.mu);
-  /// Drops every item of entry `idx`, counting them as invalidations, then
-  /// garbage-collects the entry.
-  void DropEntryItemsLocked(Shard& shard, size_t idx)
-      ERQ_REQUIRES_SHARED(maint_mu_) ERQ_REQUIRES(shard.mu);
-  /// Unlinks a now-empty entry from the shard's entry_index and inverted
-  /// index and recycles its slot. The caller republishes.
-  void RemoveEntryLocked(Shard& shard, size_t idx) ERQ_REQUIRES(shard.mu);
-  /// Finds or creates the shard-resident entry for `relations`; sets
-  /// `*created` so the caller knows the membership changed (and must
-  /// RebuildIndexLocked before releasing the shard lock).
-  size_t GetOrCreateEntryLocked(Shard& shard, const RelationSet& relations,
-                                bool* created) ERQ_REQUIRES(shard.mu);
+  /// Frees `slot` (listener notified with `reason`) without touching its
+  /// entry's item list; the caller fixes the entry up.
+  void ReleaseSlotLocked(size_t slot, RemoveReason reason) ERQ_REQUIRES(mu_);
+  /// Removes every item of entry `idx` for which `pred` holds, counting
+  /// them as `reason`; garbage-collects the entry if it empties (returns
+  /// true then: the caller must RebuildIndexLocked) or republishes its
+  /// items otherwise.
+  bool RemoveItemsIfLocked(
+      size_t idx, RemoveReason reason,
+      const std::function<bool(const AtomicQueryPart&)>& pred)
+      ERQ_REQUIRES(mu_);
+  /// Unlinks a now-empty entry from entry_index_ and the inverted index
+  /// and recycles its slot. The caller republishes.
+  void RemoveEntryLocked(size_t idx) ERQ_REQUIRES(mu_);
+  /// Finds or creates the entry for `relations`; sets `*created` so the
+  /// caller knows the membership changed (and must RebuildIndexLocked).
+  size_t GetOrCreateEntryLocked(const RelationSet& relations, bool* created)
+      ERQ_REQUIRES(mu_);
 
   /// Swaps entry `pub->items` to match the writer-side item list and
-  /// epoch-retires the replaced vector (item-only change: the shard index
+  /// epoch-retires the replaced vector (item-only change: the index
   /// itself is untouched).
-  void RepublishEntryItemsLocked(Shard& shard, Entry& entry)
-      ERQ_REQUIRES(shard.mu);
-  /// Rebuilds and publishes the shard's index snapshot from writer state
-  /// and epoch-retires the predecessor (entry membership changed).
-  void RebuildIndexLocked(Shard& shard) ERQ_REQUIRES(shard.mu);
+  void RepublishEntryItemsLocked(Entry& entry) ERQ_REQUIRES(mu_);
+  /// Rebuilds and publishes the index snapshot from writer state and
+  /// epoch-retires the predecessor (entry membership changed).
+  void RebuildIndexLocked() ERQ_REQUIRES(mu_);
 
-  // Configuration, immutable after construction: safe to read unlocked.
+  // Capacity, immutable after construction: safe to read unlocked.
   const size_t n_max_;
-  const EvictionPolicy policy_;
-  const bool enable_signatures_;
-  const bool enable_index_;
-  const size_t shard_count_;
 
-  // The cache-wide maintenance gate. Per-shard mutators hold the READER
-  // side (so they run in parallel); Clear and SetChangeListener hold the
-  // WRITER side, making them atomic against every mutation — the
-  // persistence journal can never interleave an insert into a clear.
-  // Exclusive/shared holders call the persistence listener (OnInsert/
-  // OnRemove/OnClear journal under Persistence::mu_), hence
-  // ACQUIRED_BEFORE both the shard rank and persistence.
-  mutable SharedMutex maint_mu_ ERQ_ACQUIRED_AFTER(lock_order::kCaqpCache)
-      ERQ_ACQUIRED_BEFORE(lock_order::kCaqpShard,
+  // The writer mutex. Its holders call the persistence listener
+  // (OnInsert/OnRemove/OnClear journal under Persistence::mu_) and
+  // epoch-retire replaced snapshots, hence ACQUIRED_BEFORE both.
+  mutable Mutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kCaqpCache)
+      ERQ_ACQUIRED_BEFORE(lock_order::kEpoch,
                           lock_order::kPersistence){lock_order::kCaqpCache};
 
-  std::vector<Shard> shards_;
-  ChangeListener* listener_ ERQ_GUARDED_BY(maint_mu_) = nullptr;
+  std::vector<Item> slots_ ERQ_GUARDED_BY(mu_);
+  std::vector<size_t> free_slots_ ERQ_GUARDED_BY(mu_);
+  std::vector<Entry> entries_ ERQ_GUARDED_BY(mu_);
+  std::vector<size_t> free_entries_ ERQ_GUARDED_BY(mu_);
+  std::unordered_map<std::string, size_t> entry_index_ ERQ_GUARDED_BY(mu_);
+  // Writer-side postings map *every* name of an entry to it (superset
+  // search and invalidation need all names); the published index is keyed
+  // by first name only.
+  std::unordered_map<std::string, std::vector<size_t>> postings_
+      ERQ_GUARDED_BY(mu_);
+  size_t empty_rel_entry_ ERQ_GUARDED_BY(mu_) = kNoEntry;
+  size_t clock_hand_ ERQ_GUARDED_BY(mu_) = 0;
+  ChangeListener* listener_ ERQ_GUARDED_BY(mu_) = nullptr;
 
-  // Live parts across all shards (the capacity loops' lock-free view).
-  std::atomic<size_t> live_total_{0};
-  // Which shard the next clock eviction starts from (round-robin).
-  std::atomic<size_t> evict_hand_{0};
-  // Global recency clock, bumped by lookups on hits: lock-free.
-  mutable std::atomic<uint64_t> seq_{0};
-  mutable AtomicCounters counters_;
+  // Live parts: written under `mu_`, read lock-free by size().
+  std::atomic<size_t> live_{0};
+  // The published snapshot; never null after construction. Writers
+  // exchange under `mu_` and epoch-retire the predecessor; readers load
+  // (acquire) inside an epoch critical section. Every lookup loads it and
+  // bumps `counters_`, so the two sit on separate cache lines: sharing
+  // one would make each counter flush evict the pointer from every other
+  // reader's cache.
+  alignas(64) std::atomic<const Index*> published_{nullptr};
+  alignas(64) mutable AtomicCounters counters_;
   // Reclamation domain for published snapshots and item vectors.
   mutable EpochManager epoch_;
 };

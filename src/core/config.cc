@@ -20,24 +20,10 @@ Status EmptyResultConfig::Validate() const {
         "EmptyResultConfig.c_cost must be non-negative (0 checks every "
         "query)");
   }
-  if (shards == 0) {
-    return Status::InvalidArgument(
-        "EmptyResultConfig.shards must be positive: every C_aqp entry "
-        "needs a home shard (use shards=1 for the unsharded baseline)");
-  }
   if (dnf.max_terms == 0) {
     return Status::InvalidArgument(
         "EmptyResultConfig.dnf.max_terms must be positive: every "
         "decomposition would be rejected as a DNF blow-up");
-  }
-  switch (eviction) {
-    case EvictionPolicy::kClock:
-    case EvictionPolicy::kLru:
-    case EvictionPolicy::kFifo:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "EmptyResultConfig.eviction is not a known EvictionPolicy");
   }
   switch (invalidation) {
     case InvalidationMode::kDropAll:

@@ -15,10 +15,6 @@
 
 namespace erq {
 
-/// Replacement policy for the C_aqp collection. The paper uses the clock
-/// algorithm (§2.3); LRU and FIFO exist for the ablation benchmarks.
-enum class EvictionPolicy { kClock, kLru, kFifo };
-
 /// What to invalidate when a base relation is updated. The paper deletes
 /// all stored information on any update (read-mostly environment);
 /// kDropTouched scopes the invalidation to atomic query parts that mention
@@ -62,28 +58,8 @@ struct EmptyResultConfig {
   /// Bounds for the exponential DNF rewriting step (§2.3, step 2).
   DnfOptions dnf;
 
-  /// Replacement policy when C_aqp is full (paper: clock).
-  EvictionPolicy eviction = EvictionPolicy::kClock;
   /// Update-invalidation scope (paper: drop everything).
   InvalidationMode invalidation = InvalidationMode::kDropTouched;
-
-  /// Use the signature prefilter [31] when searching entries by relation
-  /// set containment. Off only for the ablation bench.
-  bool enable_signatures = true;
-
-  /// Use the inverted relation-name index when enumerating candidate
-  /// entries (sub-linear subset/superset search). Off only for the
-  /// ablation bench, where lookups fall back to scanning every entry —
-  /// the pre-index behavior. The index itself is always maintained, so
-  /// this knob isolates the lookup algorithm, not maintenance cost.
-  bool enable_index = true;
-
-  /// Number of C_aqp shards. Each entry resides in the shard its first
-  /// relation name hashes to; lookups are lock-free against per-shard
-  /// published snapshots, so shards bound only writer contention. 1 is
-  /// the unsharded ablation baseline; the default matches
-  /// CaqpCache::kDefaultShards.
-  size_t shards = 8;
 
   /// Master switch; when false the manager always executes (baseline).
   bool detection_enabled = true;
@@ -92,10 +68,6 @@ struct EmptyResultConfig {
   /// break-even estimate once enough history has accumulated (§2.2's
   /// "decided based on past statistics").
   bool auto_tune_c_cost = false;
-
-  /// Record empty results of low-cost queries too (paper says don't; knob
-  /// for experiments).
-  bool record_low_cost = false;
 
   /// Consult per-partition zone maps and stored (relation, partition)
   /// emptiness facts to skip partitions of partitioned tables at scan

@@ -39,9 +39,7 @@ struct CheckResult {
 class EmptyResultDetector {
  public:
   explicit EmptyResultDetector(const EmptyResultConfig& config)
-      : config_(config),
-        cache_(config.n_max, config.eviction, config.enable_signatures,
-               config.enable_index, config.shards) {}
+      : config_(config), cache_(config.n_max) {}
 
   /// Decides whether the logical plan provably yields an empty result
   /// using only C_aqp (plus provable unsatisfiability of a part's
@@ -50,7 +48,7 @@ class EmptyResultDetector {
 
   /// Checks many plans at once: the atomic query parts of every root are
   /// gathered first, probed against C_aqp in one batched lookup (a single
-  /// epoch critical section; each shard snapshot loaded at most once),
+  /// epoch critical section over one published snapshot),
   /// then per-root verdicts are assembled. Results match CheckEmpty on
   /// each root, with one deliberate difference: `parts_checked` counts
   /// every decomposed part, because the batch probes all parts up front

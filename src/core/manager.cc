@@ -196,16 +196,6 @@ StatusOr<QueryOutcome> EmptyResultManager::Query(const std::string& sql) {
   return Execute(QueryRequest::Sql(sql));
 }
 
-StatusOr<QueryOutcome> EmptyResultManager::QueryStatement(
-    const Statement& stmt) {
-  return Execute(QueryRequest::Parsed(&stmt));
-}
-
-std::vector<StatusOr<QueryOutcome>> EmptyResultManager::QueryBatch(
-    const std::vector<std::string>& sqls) {
-  return ExecuteBatch(QueryRequest::Batch(sqls));
-}
-
 StatusOr<QueryOutcome> EmptyResultManager::Execute(
     const QueryRequest& request) {
   ERQ_RETURN_IF_ERROR(init_status_);
@@ -497,7 +487,7 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
   }
 
   if (outcome.result_empty && config_.detection_enabled &&
-      (outcome.high_cost || config_.record_low_cost)) {
+      outcome.high_cost) {
     {
       ScopedSpan span(metrics_.stage_record, &outcome.timings.record_seconds);
       outcome.aqps_recorded = detector_.RecordEmpty(physical);

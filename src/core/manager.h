@@ -36,7 +36,7 @@ namespace erq {
 struct QueryOutcome {
   /// Per-stage wall-clock seconds for this query. Field names match the
   /// span hierarchy in DESIGN.md §"Observability": total covers the whole
-  /// Query()/QueryStatement() call; the stage fields are disjoint
+  /// Query()/Execute() call; the stage fields are disjoint
   /// sub-intervals of it.
   struct Timings {
     double parse_seconds = 0.0;     ///< SQL text -> Statement (Query() only)
@@ -115,7 +115,7 @@ struct QueryRequest;
 
 /// Aggregate counters across a query stream.
 struct ManagerStats {
-  uint64_t queries = 0;         ///< Query()/QueryStatement() calls
+  uint64_t queries = 0;         ///< statements run (batch: one each)
   uint64_t low_cost = 0;        ///< queries below the C_cost gate
   uint64_t checks = 0;          ///< queries that paid a C_aqp check
   uint64_t detected_empty = 0;  ///< detection hits (execution skipped)
@@ -148,7 +148,7 @@ struct ManagerStats {
 /// Thread safety: the manager's own mutable state — the aggregate
 /// counters and the adaptive cost gate — is guarded by `mu_`, and the
 /// C_aqp collection inside the detector is internally synchronized, so
-/// concurrent sessions may issue Query()/QueryStatement() calls on one
+/// concurrent sessions may issue Query()/Execute() calls on one
 /// manager. Accessors ending in `_snapshot()` return value-type copies
 /// taken under the lock — never live references. The planner, optimizer,
 /// and catalog are thread-compatible (read-only here); concurrent catalog
@@ -180,8 +180,8 @@ class EmptyResultManager {
   /// codes the single path produces). Each query is parsed and prepared
   /// individually; then every high-cost candidate is checked against
   /// C_aqp in a single batched lookup
-  /// (EmptyResultDetector::CheckEmptyBatch — one epoch critical section,
-  /// shard snapshots loaded once); then each query finishes exactly like
+  /// (EmptyResultDetector::CheckEmptyBatch — one epoch critical section
+  /// over one published snapshot); then each query finishes exactly like
   /// the single path. Per-query `check_seconds` attributes the batch
   /// check time in proportion to each query's parts_checked (see
   /// QueryOutcome::Timings). An empty `request.batch` yields an empty
@@ -191,14 +191,6 @@ class EmptyResultManager {
 
   /// Full workflow for a SQL string. Thin wrapper over Execute().
   ERQ_NODISCARD StatusOr<QueryOutcome> Query(const std::string& sql);
-
-  /// Full workflow for a parsed statement. Thin wrapper over Execute().
-  ERQ_NODISCARD StatusOr<QueryOutcome> QueryStatement(const Statement& stmt);
-
-  /// Full workflow for a batch of SQL strings. Thin wrapper over
-  /// ExecuteBatch().
-  std::vector<StatusOr<QueryOutcome>> QueryBatch(
-      const std::vector<std::string>& sqls);
 
   /// Plans and optimizes without the detection workflow (for tools/tests).
   ERQ_NODISCARD StatusOr<PhysOpPtr> Prepare(const std::string& sql);

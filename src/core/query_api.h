@@ -10,8 +10,8 @@
 /// *wire* surface: plain values with a versioned JSON rendering
 /// (`erq.response.v1`) and one shared text renderer, used by erq_server,
 /// erq_shell, and the examples. EmptyResultManager::Execute/ExecuteBatch
-/// accept a QueryRequest directly; the legacy Query/QueryStatement/
-/// QueryBatch signatures are thin wrappers over them.
+/// accept a QueryRequest directly; Query(sql) is a thin wrapper over
+/// Execute.
 
 #include <cstddef>
 #include <optional>

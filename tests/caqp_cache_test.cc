@@ -101,7 +101,7 @@ TEST(CaqpCacheTest, CapacityEnforced) {
 }
 
 TEST(CaqpCacheTest, ClockKeepsRecentlyHitParts) {
-  CaqpCache cache(4, EvictionPolicy::kClock);
+  CaqpCache cache(4);
   for (int64_t i = 0; i < 4; ++i) cache.Insert(Point("t", "x", i));
   // Touch part 2 before every insert so its reference bit is set whenever
   // the clock hand reaches it. (Part 0 would be evicted by the very first
@@ -114,30 +114,6 @@ TEST(CaqpCacheTest, ClockKeepsRecentlyHitParts) {
   }
   EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 2)))
       << "the hot part must survive clock replacement";
-}
-
-TEST(CaqpCacheTest, LruEvictsLeastRecentlyUsed) {
-  CaqpCache cache(3, EvictionPolicy::kLru);
-  cache.Insert(Point("t", "x", 1));
-  cache.Insert(Point("t", "x", 2));
-  cache.Insert(Point("t", "x", 3));
-  ASSERT_TRUE(cache.CoveredBy(Point("t", "x", 1)));  // refresh 1
-  ASSERT_TRUE(cache.CoveredBy(Point("t", "x", 3)));  // refresh 3
-  cache.Insert(Point("t", "x", 4));                  // evicts 2
-  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 1)));
-  EXPECT_FALSE(cache.CoveredBy(Point("t", "x", 2)));
-  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 3)));
-}
-
-TEST(CaqpCacheTest, FifoEvictsOldest) {
-  CaqpCache cache(3, EvictionPolicy::kFifo);
-  cache.Insert(Point("t", "x", 1));
-  cache.Insert(Point("t", "x", 2));
-  cache.Insert(Point("t", "x", 3));
-  ASSERT_TRUE(cache.CoveredBy(Point("t", "x", 1)));  // recency is ignored
-  cache.Insert(Point("t", "x", 4));                  // evicts 1 anyway
-  EXPECT_FALSE(cache.CoveredBy(Point("t", "x", 1)));
-  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 2)));
 }
 
 TEST(CaqpCacheTest, InvalidateRelationDropsRenamedOccurrences) {
@@ -168,13 +144,6 @@ TEST(CaqpCacheTest, ClearResetsEverything) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(CaqpCacheTest, SignatureOffStillCorrect) {
-  CaqpCache cache(100, EvictionPolicy::kClock, /*enable_signatures=*/false);
-  cache.Insert(Point("t", "x", 5));
-  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 5)));
-  EXPECT_FALSE(cache.CoveredBy(Point("u", "x", 5)));
-}
-
 TEST(CaqpCacheTest, ZeroCapacityStoresNothing) {
   CaqpCache cache(0);
   cache.Insert(Point("t", "x", 5));
@@ -190,31 +159,11 @@ TEST(CaqpCacheTest, SnapshotReturnsLiveParts) {
   EXPECT_EQ(snap.size(), 2u);
 }
 
-TEST(CaqpCacheTest, IndexOffStillCorrect) {
-  CaqpCache cache(100, EvictionPolicy::kClock, /*enable_signatures=*/true,
-                  /*enable_index=*/false);
-  cache.Insert(Point("t", "x", 5));
-  cache.Insert(Range("u", "y", 0, 10));
-  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 5)));
-  EXPECT_TRUE(cache.CoveredBy(Point("u", "y", 3)));
-  EXPECT_FALSE(cache.CoveredBy(Point("v", "x", 5)));
-  // Redundancy rules still apply without the index.
-  cache.Insert(Range("t", "x", 0, 100));  // displaces the point on t
-  EXPECT_EQ(cache.stats_snapshot().removed_covered, 1u);
-  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 5)));
-  cache.InvalidateRelation("t");
-  EXPECT_FALSE(cache.CoveredBy(Point("t", "x", 5)));
-  EXPECT_TRUE(cache.CoveredBy(Point("u", "y", 3)));
-}
-
 // Regression for the dead-entry leak: InvalidateRelation/DropIf used to
 // empty entry.items but leave the Entry and its entry_index_ key behind
 // forever, so churny update workloads grew entries_ without bound.
 TEST(CaqpCacheTest, EntryGarbageCollectionBoundsGrowth) {
-  // One shard: with N shards the per-shard free lists can each hold a
-  // slot, so the allocation bound below would scale with shard count.
-  CaqpCache cache(1000, EvictionPolicy::kClock, /*enable_signatures=*/true,
-                  /*enable_index=*/true, /*shards=*/1);
+  CaqpCache cache(1000);
   for (int round = 0; round < 100; ++round) {
     // Each round uses fresh relation names => fresh entries.
     std::string rel = "t" + std::to_string(round);
@@ -238,45 +187,34 @@ TEST(CaqpCacheTest, EntryGarbageCollectionBoundsGrowth) {
 }
 
 TEST(CaqpCacheTest, EvictionReclaimsEmptyEntries) {
-  for (EvictionPolicy policy :
-       {EvictionPolicy::kClock, EvictionPolicy::kLru, EvictionPolicy::kFifo}) {
-    SCOPED_TRACE(static_cast<int>(policy));
-    // One shard: the allocated-slot bound assumes a single free list.
-    CaqpCache cache(4, policy, /*enable_signatures=*/true,
-                    /*enable_index=*/true, /*shards=*/1);
-    // Four parts over four distinct relation sets: evicting a part must
-    // also reclaim its singleton entry.
-    for (int64_t i = 0; i < 4; ++i) {
-      cache.Insert(Point(("r" + std::to_string(i)).c_str(), "x", i));
-    }
-    EXPECT_EQ(cache.stats_snapshot().entries_live, 4u);
-    for (int64_t i = 0; i < 8; ++i) {
-      cache.Insert(Point(("s" + std::to_string(i)).c_str(), "x", i));
-      EXPECT_EQ(cache.size(), 4u);
-      EXPECT_EQ(cache.stats_snapshot().entries_live, 4u);
-    }
-    // Allocated entry slots were recycled, not accumulated.
-    EXPECT_LE(cache.stats_snapshot().entries_allocated, 5u);
+  CaqpCache cache(4);
+  // Four parts over four distinct relation sets: evicting a part must
+  // also reclaim its singleton entry.
+  for (int64_t i = 0; i < 4; ++i) {
+    cache.Insert(Point(("r" + std::to_string(i)).c_str(), "x", i));
   }
+  EXPECT_EQ(cache.stats_snapshot().entries_live, 4u);
+  for (int64_t i = 0; i < 8; ++i) {
+    cache.Insert(Point(("s" + std::to_string(i)).c_str(), "x", i));
+    EXPECT_EQ(cache.size(), 4u);
+    EXPECT_EQ(cache.stats_snapshot().entries_live, 4u);
+  }
+  // Allocated entry slots were recycled, not accumulated.
+  EXPECT_LE(cache.stats_snapshot().entries_allocated, 5u);
 }
 
 // Refilling to capacity after a broad invalidation exercises eviction
 // against a slot array that has been through invalidation churn (free-list
-// reuse, clock-hand wrap-around): the bounded sweep must terminate under
-// every policy.
+// reuse, clock-hand wrap-around): the bounded sweep must terminate.
 TEST(CaqpCacheTest, EvictionAfterMassInvalidationTerminates) {
-  for (EvictionPolicy policy :
-       {EvictionPolicy::kClock, EvictionPolicy::kLru, EvictionPolicy::kFifo}) {
-    SCOPED_TRACE(static_cast<int>(policy));
-    CaqpCache cache(64, policy);
-    for (int64_t i = 0; i < 64; ++i) cache.Insert(Point("t", "x", i));
-    cache.InvalidateRelation("t");  // all 64 slots dead
-    EXPECT_EQ(cache.size(), 0u);
-    // Refill past capacity: evictions run against a slot array that starts
-    // all-dead and must not spin.
-    for (int64_t i = 0; i < 80; ++i) cache.Insert(Point("u", "x", i));
-    EXPECT_EQ(cache.size(), 64u);
-  }
+  CaqpCache cache(64);
+  for (int64_t i = 0; i < 64; ++i) cache.Insert(Point("t", "x", i));
+  cache.InvalidateRelation("t");  // all 64 slots dead
+  EXPECT_EQ(cache.size(), 0u);
+  // Refill past capacity: evictions run against a slot array that starts
+  // all-dead and must not spin.
+  for (int64_t i = 0; i < 80; ++i) cache.Insert(Point("u", "x", i));
+  EXPECT_EQ(cache.size(), 64u);
 }
 
 TEST(CaqpCacheTest, IndexInstrumentationCountsWork) {
@@ -334,8 +272,6 @@ TEST(CaqpCacheTest, ExplainDescribesInternals) {
   std::string text = cache.Explain();
   EXPECT_NE(text.find("2/100 parts"), std::string::npos) << text;
   EXPECT_NE(text.find("2 entries"), std::string::npos) << text;
-  EXPECT_NE(text.find("policy=clock"), std::string::npos) << text;
-  EXPECT_NE(text.find("index=on"), std::string::npos) << text;
   EXPECT_NE(text.find("lookups=1 hits=1"), std::string::npos) << text;
 }
 
@@ -353,51 +289,42 @@ TEST(CaqpCacheTest, PaperSection22CombinationExample) {
   EXPECT_TRUE(cache.CoveredBy(Point("a", "a", 60)));
 }
 
-// The sharded cache must behave identically at every shard count: the
-// whole public contract — coverage, redundancy, displacement, capacity,
-// invalidation — is shard-transparent.
-TEST(CaqpCacheTest, ShardCountIsBehaviorTransparent) {
-  for (size_t shards : {1u, 4u, 16u}) {
-    SCOPED_TRACE(shards);
-    CaqpCache cache(100, EvictionPolicy::kClock, true, true, shards);
-    EXPECT_EQ(cache.shard_count(), shards);
-    // Spread entries across relation names (=> across shards).
-    for (int64_t i = 0; i < 20; ++i) {
-      cache.Insert(Point(("r" + std::to_string(i)).c_str(), "x", i));
-    }
-    EXPECT_EQ(cache.size(), 20u);
-    for (int64_t i = 0; i < 20; ++i) {
-      EXPECT_TRUE(cache.CoveredBy(Point(("r" + std::to_string(i)).c_str(),
-                                        "x", i)));
-      EXPECT_FALSE(cache.CoveredBy(Point(("r" + std::to_string(i)).c_str(),
-                                         "x", i + 100)));
-    }
-    // Displacement reaches entries in other shards: {r3} with TRUE covers
-    // any part mentioning r3, wherever its entry lives.
-    AtomicQueryPart r3_empty(RelationSet({"r3"}), Conjunction{});
-    cache.Insert(r3_empty);
-    EXPECT_EQ(cache.size(), 20u);  // one displaced, one inserted
-    EXPECT_TRUE(cache.CoveredBy(Point("r3", "x", 3)));
-    cache.InvalidateRelation("r5");
-    EXPECT_FALSE(cache.CoveredBy(Point("r5", "x", 5)));
-    EXPECT_EQ(cache.size(), 19u);
-    CaqpCache::CacheStats stats = cache.stats_snapshot();
-    EXPECT_EQ(stats.shards, shards);
-    EXPECT_GE(stats.shard_max_live, 1u);
+// Coverage, displacement and invalidation over many relation names: a
+// general part displaces the parts it covers, and invalidating one
+// relation leaves the others' parts in place.
+TEST(CaqpCacheTest, DisplacementAndInvalidationAcrossEntries) {
+  CaqpCache cache(100);
+  for (int64_t i = 0; i < 20; ++i) {
+    cache.Insert(Point(("r" + std::to_string(i)).c_str(), "x", i));
   }
+  EXPECT_EQ(cache.size(), 20u);
+  for (int64_t i = 0; i < 20; ++i) {
+    EXPECT_TRUE(cache.CoveredBy(Point(("r" + std::to_string(i)).c_str(),
+                                      "x", i)));
+    EXPECT_FALSE(cache.CoveredBy(Point(("r" + std::to_string(i)).c_str(),
+                                       "x", i + 100)));
+  }
+  // {r3} with TRUE covers any part mentioning r3.
+  AtomicQueryPart r3_empty(RelationSet({"r3"}), Conjunction{});
+  cache.Insert(r3_empty);
+  EXPECT_EQ(cache.size(), 20u);  // one displaced, one inserted
+  EXPECT_TRUE(cache.CoveredBy(Point("r3", "x", 3)));
+  cache.InvalidateRelation("r5");
+  EXPECT_FALSE(cache.CoveredBy(Point("r5", "x", 5)));
+  EXPECT_EQ(cache.size(), 19u);
 }
 
-// A stored multi-relation part resides in the shard of its *first*
-// relation name but must be found through any of the probe's names.
-TEST(CaqpCacheTest, MultiRelationEntriesFoundAcrossShards) {
-  CaqpCache cache(100, EvictionPolicy::kClock, true, true, 16);
+// A stored multi-relation part is posted under its *first* relation name
+// but must be found through any of the probe's names.
+TEST(CaqpCacheTest, MultiRelationEntriesFoundThroughAnyProbeName) {
+  CaqpCache cache(100);
   AtomicQueryPart joined(
       RelationSet({"orders", "lineitem"}),
       Conjunction::Make({PrimitiveTerm::MakeInterval(
           ColumnId::Make("orders", "k"), ValueInterval::Point(Value::Int(5)))}));
   cache.Insert(joined);
   // Probe with a superset relation set whose own first name is different:
-  // the candidate walk goes through "orders"/"lineitem"'s home shards.
+  // the candidate walk goes through "orders"/"lineitem"'s postings.
   AtomicQueryPart wider(
       RelationSet({"customer", "lineitem", "orders"}),
       Conjunction::Make({PrimitiveTerm::MakeInterval(
@@ -406,7 +333,7 @@ TEST(CaqpCacheTest, MultiRelationEntriesFoundAcrossShards) {
 }
 
 TEST(CaqpCacheTest, BatchLookupMatchesSingleLookups) {
-  CaqpCache cache(100, EvictionPolicy::kClock, true, true, 4);
+  CaqpCache cache(100);
   for (int64_t i = 0; i < 10; ++i) {
     cache.Insert(Point(("t" + std::to_string(i)).c_str(), "x", i));
   }
@@ -428,23 +355,26 @@ TEST(CaqpCacheTest, BatchLookupMatchesSingleLookups) {
 }
 
 TEST(CaqpCacheTest, BatchLookupEmptyAndMarksRecency) {
-  CaqpCache cache(2, EvictionPolicy::kLru, true, true, 2);
+  CaqpCache cache(4);
   EXPECT_TRUE(cache.CoveredByBatch({}).empty());
-  cache.Insert(Point("t", "x", 1));
-  cache.Insert(Point("u", "x", 2));
-  // Touch t's part via the batch path, then insert at capacity: LRU must
-  // evict u's part, proving the batch lookup refreshed recency.
-  AtomicQueryPart probe = Point("t", "x", 1);
-  std::vector<const AtomicQueryPart*> ptrs{&probe};
-  EXPECT_EQ(cache.CoveredByBatch(ptrs), std::vector<uint8_t>{1});
-  cache.Insert(Point("v", "x", 3));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 1)));
-  EXPECT_FALSE(cache.CoveredBy(Point("u", "x", 2)));
+  for (int64_t i = 0; i < 4; ++i) cache.Insert(Point("t", "x", i));
+  // As in ClockKeepsRecentlyHitParts, but part 2 is touched only through
+  // the batch path. Without the reference bit that lookup sets, the clock
+  // hand would take part 2 on the third forced eviction.
+  AtomicQueryPart hot = Point("t", "x", 2);
+  std::vector<const AtomicQueryPart*> ptrs{&hot};
+  for (int64_t i = 0; i < 8; ++i) {
+    ASSERT_EQ(cache.CoveredByBatch(ptrs), std::vector<uint8_t>{1})
+        << "round " << i;
+    cache.Insert(Point("t", "x", 100 + i));  // forces eviction each time
+    ASSERT_EQ(cache.size(), 4u);
+  }
+  EXPECT_EQ(cache.CoveredByBatch(ptrs), std::vector<uint8_t>{1})
+      << "the batch-hit part must survive clock replacement";
 }
 
-TEST(CaqpCacheTest, SnapshotSeesAllShards) {
-  CaqpCache cache(100, EvictionPolicy::kClock, true, true, 8);
+TEST(CaqpCacheTest, SnapshotSeesAllEntries) {
+  CaqpCache cache(100);
   for (int64_t i = 0; i < 12; ++i) {
     cache.Insert(Point(("s" + std::to_string(i)).c_str(), "x", i));
   }

@@ -1,5 +1,6 @@
 #include "core/manager.h"
 
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -156,7 +157,8 @@ TEST_F(ManagerTest, QueryBatchMatchesSequentialQueries) {
       "selec * from A",                 // parse error: only this slot fails
       "select * from A where a = 200",  // detected empty
   };
-  std::vector<StatusOr<QueryOutcome>> batch = manager.QueryBatch(sqls);
+  std::vector<StatusOr<QueryOutcome>> batch =
+      manager.ExecuteBatch(QueryRequest::Batch(sqls));
   ASSERT_EQ(batch.size(), sqls.size());
 
   ASSERT_TRUE(batch[0].ok()) << batch[0].status();
@@ -185,13 +187,13 @@ TEST_F(ManagerTest, QueryBatchHarvestsExecutedEmptyResults) {
                              HighCostEverything());
   // A batch whose queries come back empty must harvest into C_aqp so a
   // later batch detects them without execution.
-  std::vector<StatusOr<QueryOutcome>> first =
-      manager.QueryBatch({"select * from A where a > 100"});
+  std::vector<StatusOr<QueryOutcome>> first = manager.ExecuteBatch(
+      QueryRequest::Batch({"select * from A where a > 100"}));
   ASSERT_TRUE(first[0].ok());
   EXPECT_TRUE(first[0]->executed);
   EXPECT_GT(first[0]->aqps_recorded, 0u);
-  std::vector<StatusOr<QueryOutcome>> second =
-      manager.QueryBatch({"select * from A where a > 100"});
+  std::vector<StatusOr<QueryOutcome>> second = manager.ExecuteBatch(
+      QueryRequest::Batch({"select * from A where a > 100"}));
   ASSERT_TRUE(second[0].ok());
   EXPECT_TRUE(second[0]->detected_empty);
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "mv/mv_cache.h"
 #include "test_util.h"
@@ -286,20 +287,6 @@ TEST(ConfigValidateTest, RejectsBadConfigs) {
   EmptyResultConfig zero_terms;
   zero_terms.dnf.max_terms = 0;
   EXPECT_FALSE(zero_terms.Validate().ok());
-
-  EmptyResultConfig zero_shards;
-  zero_shards.shards = 0;
-  EXPECT_FALSE(zero_shards.Validate().ok());
-
-  // shards=1 is the legitimate unsharded baseline, and a shard count
-  // above n_max is allowed (shards bound writer contention, not entries).
-  EmptyResultConfig one_shard;
-  one_shard.shards = 1;
-  ERQ_EXPECT_OK(one_shard.Validate());
-  EmptyResultConfig many_shards;
-  many_shards.n_max = 4;
-  many_shards.shards = 16;
-  ERQ_EXPECT_OK(many_shards.Validate());
 }
 
 TEST(ConfigValidateTest, ManagerSurfacesTheErrorFromEveryEntryPoint) {
@@ -314,10 +301,10 @@ TEST(ConfigValidateTest, ManagerSurfacesTheErrorFromEveryEntryPoint) {
             StatusCode::kInvalidArgument);
   ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Statement> stmt,
                            Parser::Parse("select * from A"));
-  EXPECT_EQ(manager.QueryStatement(*stmt).status().code(),
+  EXPECT_EQ(manager.Execute(QueryRequest::Parsed(stmt.get())).status().code(),
             StatusCode::kInvalidArgument);
-  std::vector<StatusOr<QueryOutcome>> batch =
-      manager.QueryBatch({"select * from A", "select * from A"});
+  std::vector<StatusOr<QueryOutcome>> batch = manager.ExecuteBatch(
+      QueryRequest::Batch({"select * from A", "select * from A"}));
   ASSERT_EQ(batch.size(), 2u);
   for (const StatusOr<QueryOutcome>& r : batch) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);

@@ -122,7 +122,7 @@ bool RunWorkload(const std::string& dir, Shadow* caqp, Shadow* mv) {
   if (!open.ok()) return false;
   std::unique_ptr<Persistence> p = std::move(open).value();
 
-  CaqpCache cache(6, EvictionPolicy::kClock);
+  CaqpCache cache(6);
   std::set<std::string> before = SerializedSet(cache.Snapshot());
   (void)p->AttachCaqp(&cache);  // may fail under an armed seam: keep going
   auto step = [&](const std::function<void()>& op) {

@@ -245,7 +245,7 @@ class CacheEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CacheEquivalenceTest, CoveredByMatchesLinearScan) {
   std::mt19937_64 rng(GetParam());
-  CaqpCache cache(10000, EvictionPolicy::kClock, /*enable_signatures=*/true);
+  CaqpCache cache(10000);
   std::vector<AtomicQueryPart> stored;
   const char* rels[] = {"r", "s"};
   auto random_part = [&]() {

@@ -63,11 +63,7 @@ fi
 
 # Concurrency configuration the numbers depend on, extracted from the
 # sources so the recorded context can never drift from the code: the
-# default C_aqp shard count (BM_LookupHitShards/BM_ReadMostly99 sweep
-# 1/4/16; every other benchmark uses the default) and the epoch
-# reclamation geometry (bucket count x reader-count stripes).
-CAQP_SHARDS=$(grep -oE 'kDefaultShards = [0-9]+' src/core/caqp_cache.h \
-  | grep -oE '[0-9]+')
+# epoch reclamation geometry (bucket count x reader-count stripes).
 EPOCH_BUCKETS=$(grep -oE 'active_\[[0-9]+\]' src/common/epoch.h \
   | head -1 | grep -oE '[0-9]+')
 EPOCH_STRIPES=$(grep -oE 'kStripes = [0-9]+' src/common/epoch.h \
@@ -83,13 +79,13 @@ REUSE_OUT="$(dirname "$OUT")/BENCH_reuse.json"
 REUSE_MAX_ROWS=$(grep -oE 'max_rows = [0-9]+' src/core/config.h \
   | head -1 | grep -oE '[0-9]+')
 
-python3 - "$TMP" "$OUT" "$CAQP_SHARDS" "$EPOCH_BUCKETS" "$EPOCH_STRIPES" \
+python3 - "$TMP" "$OUT" "$EPOCH_BUCKETS" "$EPOCH_STRIPES" \
   "$PART_OUT" "$ZONE_MAP_CAP" "$REUSE_OUT" "$REUSE_MAX_ROWS" <<'PY'
 import json, os, subprocess, sys
 
 tmp, out = sys.argv[1], sys.argv[2]
-part_out = sys.argv[6]
-reuse_out = sys.argv[8]
+part_out = sys.argv[5]
+reuse_out = sys.argv[7]
 
 rev = subprocess.run(
     ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True
@@ -123,9 +119,8 @@ for name in sorted(os.listdir(tmp)):
 
 if rev:
     merged["context"]["git_revision"] = rev
-merged["context"]["caqp_default_shards"] = int(sys.argv[3])
-merged["context"]["epoch_buckets"] = int(sys.argv[4])
-merged["context"]["epoch_stripes"] = int(sys.argv[5])
+merged["context"]["epoch_buckets"] = int(sys.argv[3])
+merged["context"]["epoch_stripes"] = int(sys.argv[4])
 
 with open(out, "w") as f:
     json.dump(merged, f, indent=1, sort_keys=True)
@@ -135,7 +130,7 @@ print(f"wrote {out}")
 if partition["benchmarks"]:
     if rev:
         partition["context"]["git_revision"] = rev
-    partition["context"]["zone_map_distinct_cap"] = int(sys.argv[7])
+    partition["context"]["zone_map_distinct_cap"] = int(sys.argv[6])
     with open(part_out, "w") as f:
         json.dump(partition, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -144,7 +139,7 @@ if partition["benchmarks"]:
 if reuse["benchmarks"]:
     if rev:
         reuse["context"]["git_revision"] = rev
-    reuse["context"]["reuse_default_max_rows"] = int(sys.argv[9])
+    reuse["context"]["reuse_default_max_rows"] = int(sys.argv[8])
     with open(reuse_out, "w") as f:
         json.dump(reuse, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -345,8 +345,8 @@ run_bench() {
   cmake -B "$dir" -S "$ROOT" || { bad "bench (configure)"; return 1; }
   log "bench: build"
   cmake --build "$dir" -j "$JOBS" \
-    --target bench_concurrent bench_micro metrics_dump \
-    || { bad "bench (build)"; return 1; }
+    --target bench_concurrent bench_micro bench_partition bench_reuse \
+    metrics_dump || { bad "bench (build)"; return 1; }
   # Batched-lookup smoke: CheckEmptyBatch/CoveredByBatch is a distinct
   # code path (one epoch pin + one counter flush per batch), so prove it
   # runs before the full snapshot.
