@@ -27,7 +27,9 @@
 ///                     lazily constructing a tenant's manager, which
 ///                     registers instruments (Metrics) — hence below
 ///                     every engine lock
-///   Manager (10)      pipeline counters; never held across module calls
+///   Manager (10)      the adaptive cost gate only (pipeline counters are
+///                     lock-free scope instruments); never held across
+///                     module calls
 ///   ReuseStore (12)   intermediate-result reuse store writer state; held
 ///                     across epoch retirement of replaced index
 ///                     snapshots, hence below Epoch
@@ -36,18 +38,21 @@
 ///                     calls
 ///   Epoch (24)        EpochManager's limbo lists; Retire() runs under
 ///                     the CaqpCache or ReuseStore writer mutex
-///   MvCache (30)      MV-baseline store; same listener pattern
+///   MvCache (30)      in-memory MV-baseline store; a leaf within the
+///                     query path
 ///   StatsCatalog (40) optimizer statistics; leaf within the query path
 ///   Table (44)        one table's row-store mutations + partition/zone-map
 ///                     state; short critical sections that call into no
 ///                     other module (snapshot readers copy a shared_ptr)
-///   Persistence (50)  durable mirror + journal; acquired under either
-///                     cache's lock, and itself held across IO seams
+///   Persistence (50)  durable mirror + journal; acquired under the C_aqp
+///                     writer lock, and itself held across IO seams
 ///   FailPoint (60)    fault-injection registry, consulted at IO
 ///                     boundaries under the persistence lock
 ///   Metrics (70)      instrument registration; the universal leaf —
 ///                     any module may register instruments under its own
-///                     lock
+///                     lock. A scope registry and its parent share the
+///                     rank, so a scope resolves the parent's instrument
+///                     before taking its own mutex (they never nest)
 /// Gaps leave room to slot in the next arc's locks (per-tenant server
 /// state) without renumbering; 24 sits inside CaqpCache's gap because
 /// epoch reclamation is that module's internals.
@@ -63,7 +68,8 @@ inline constexpr LockRank kServer{4, "Server"};
 /// manager construction (which reaches Metrics), so it sits below every
 /// engine lock.
 inline constexpr LockRank kTenantRegistry{6, "TenantRegistry"};
-/// EmptyResultManager::mu_ — aggregate counters + adaptive cost gate.
+/// EmptyResultManager::mu_ — the adaptive cost gate only; the pipeline
+/// counters are lock-free instruments of the manager's metrics scope.
 inline constexpr LockRank kManager{10, "Manager"};
 /// ReuseStore::mu_ — admission/eviction/invalidation writer state of the
 /// intermediate-result reuse store; epoch-retires replaced index
@@ -74,7 +80,8 @@ inline constexpr LockRank kReuseStore{12, "ReuseStore"};
 inline constexpr LockRank kCaqpCache{20, "CaqpCache"};
 /// EpochManager::mu_ — limbo lists + epoch advancement.
 inline constexpr LockRank kEpoch{24, "Epoch"};
-/// MvEmptyCache::mu_ — the MV-baseline view store.
+/// MvEmptyCache::mu_ — the in-memory MV-baseline view store; holders call
+/// into no other module.
 inline constexpr LockRank kMvCache{30, "MvCache"};
 /// StatsCatalog::mu_ — per-column statistics snapshots.
 inline constexpr LockRank kStatsCatalog{40, "StatsCatalog"};
@@ -87,7 +94,9 @@ inline constexpr LockRank kTable{44, "Table"};
 inline constexpr LockRank kPersistence{50, "Persistence"};
 /// FailPoint::mu_ — crash-point registry (hit counters, armings).
 inline constexpr LockRank kFailPoint{60, "FailPoint"};
-/// MetricsRegistry::mu_ — instrument registration and snapshots.
+/// MetricsRegistry::mu_ — instrument registration and snapshots. Shared
+/// by a scope registry and its parent, so the two are never held together:
+/// a scope resolves the parent's instrument before taking its own mutex.
 inline constexpr LockRank kMetrics{70, "Metrics"};
 
 }  // namespace lock_order

@@ -17,6 +17,14 @@ constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 // any registered name.
 std::string JsonString(const std::string& s) { return JsonQuote(s); }
 
+template <typename T>
+T* GetOrCreate(std::map<std::string, std::unique_ptr<T>>& instruments,
+               const std::string& name, T* parent) {
+  std::unique_ptr<T>& slot = instruments[name];
+  if (slot == nullptr) slot = std::make_unique<T>(parent);
+  return slot.get();
+}
+
 }  // namespace
 
 double Histogram::UpperBound(size_t i) {
@@ -35,6 +43,7 @@ void Histogram::Observe(double seconds) {
   count_.fetch_add(1, kRelaxed);
   sum_nanos_.fetch_add(static_cast<uint64_t>(seconds * 1e9), kRelaxed);
   buckets_[BucketIndex(seconds)].fetch_add(1, kRelaxed);
+  if (parent_ != nullptr) parent_->Observe(seconds);
 }
 
 Histogram::Snapshot Histogram::TakeSnapshot() const {
@@ -58,25 +67,26 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
+// Each getter resolves the parent's instrument before taking mu_: scope
+// and parent share the Metrics rank, so their mutexes must not nest.
+
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
+  Counter* parent = parent_ == nullptr ? nullptr : parent_->GetCounter(name);
   MutexLock lock(&mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+  return GetOrCreate(counters_, name, parent);
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
+  Gauge* parent = parent_ == nullptr ? nullptr : parent_->GetGauge(name);
   MutexLock lock(&mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
+  return GetOrCreate(gauges_, name, parent);
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
+  Histogram* parent =
+      parent_ == nullptr ? nullptr : parent_->GetHistogram(name);
   MutexLock lock(&mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
+  return GetOrCreate(histograms_, name, parent);
 }
 
 std::string MetricsRegistry::ToJson() const {
@@ -124,7 +134,6 @@ std::string MetricsRegistry::ToJson() const {
 void MetricsRegistry::Reset() {
   MutexLock lock(&mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 

@@ -15,7 +15,13 @@
 // touching only relaxed atomics. The registry mutex is taken solely on
 // instrument *registration* (first lookup of a name) and on ToJson();
 // callers on hot paths resolve their instruments once and keep the
-// pointers, which stay valid for the process lifetime.
+// pointers, which stay valid for the registry's lifetime.
+//
+// Scopes: a component that reports per-instance numbers (a C_aqp cache,
+// a reuse store, a manager) owns a child registry of Global() and counts
+// each event once, into the child; every child instrument forwards its
+// updates to the parent's instrument of the same name, so Global() stays
+// the process-wide aggregate and the child is the instance's own view.
 //
 // Metric naming convention: `erq.<module>.<name>` (see DESIGN.md
 // §"Observability"), e.g. `erq.caqp.hits`, `erq.manager.stage.check`.
@@ -35,29 +41,50 @@
 
 namespace erq {
 
-/// Monotonically increasing event count. Lock-free.
+/// Monotonically increasing event count. Lock-free. A counter with a
+/// parent (see MetricsRegistry scopes) adds every increment to it too;
+/// Reset() zeroes only this counter.
 class Counter {
  public:
+  explicit Counter(Counter* parent = nullptr) : parent_(parent) {}
+
   void Increment(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->Increment(delta);
   }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
+  Counter* const parent_;
 };
 
-/// Last-write-wins instantaneous value (occupancy, thresholds). Lock-free.
+/// Instantaneous value (occupancy, thresholds). Lock-free. A gauge with a
+/// parent moves the parent by the same deltas and takes its remaining
+/// value back out on destruction, so a parent gauge is the sum over its
+/// live children.
 class Gauge {
  public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  explicit Gauge(Gauge* parent = nullptr) : parent_(parent) {}
+  ~Gauge() { Set(0); }
+  Gauge(const Gauge&) = delete;
+  Gauge& operator=(const Gauge&) = delete;
+
+  void Set(int64_t value) {
+    const int64_t old = value_.exchange(value, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->Add(value - old);
+  }
+  void Add(int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->Add(delta);
+  }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> value_{0};
+  Gauge* const parent_;
 };
 
 /// Fixed-bucket latency histogram. Bucket i counts observations with
@@ -65,9 +92,12 @@ class Gauge {
 /// to ~67 s, with a final +inf overflow bucket, so one layout serves every
 /// pipeline stage (a C_aqp probe is ~1 us, a cold TPC-R execution ~1 s).
 /// All updates are relaxed atomics; a concurrent snapshot is approximate
-/// (each cell individually accurate) exactly like CaqpCache::CacheStats.
+/// (each cell individually accurate). A histogram with a parent records
+/// every observation into it too; Reset() zeroes only this histogram.
 class Histogram {
  public:
+  explicit Histogram(Histogram* parent = nullptr) : parent_(parent) {}
+
   /// Finite buckets; bucket kNumFiniteBuckets is the +inf overflow.
   static constexpr size_t kNumFiniteBuckets = 26;
   static constexpr size_t kNumBuckets = kNumFiniteBuckets + 1;
@@ -100,6 +130,7 @@ class Histogram {
   /// (atomic<double> fetch_add generates a CAS loop on some targets).
   std::atomic<uint64_t> sum_nanos_{0};
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
+  Histogram* const parent_;
 };
 
 /// Steady-clock stopwatch.
@@ -145,12 +176,21 @@ class ScopedSpan {
 /// may be cached by hot paths. Counters, gauges, and histograms are
 /// separate namespaces; by convention (enforced in review, visible in
 /// ToJson()) a name is only ever used for one kind.
+///
+/// A registry built with a parent is a *scope*: each of its instruments
+/// forwards to the parent's instrument of the same name (see Counter,
+/// Gauge, Histogram), so an event counted once in the scope shows up in
+/// both. The parent must outlive the scope; when the scope dies its
+/// gauges' remaining values leave the parent.
 class MetricsRegistry {
  public:
-  /// The process-wide registry every production component records into.
+  /// The process-wide registry every production component records into,
+  /// directly or through a scope.
   static MetricsRegistry& Global();
 
-  MetricsRegistry() = default;
+  /// A scope whose instruments forward to `parent`'s (null: a root).
+  explicit MetricsRegistry(MetricsRegistry* parent = nullptr)
+      : parent_(parent) {}
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -169,17 +209,23 @@ class MetricsRegistry {
   /// this document, and tools/bench_json.sh embeds it into BENCH_*.json.
   std::string ToJson() const ERQ_EXCLUDES(mu_);
 
-  /// Zeroes every registered instrument (registration survives). Tests and
-  /// the metrics_dump CLI use this to scope a snapshot to one workload.
+  /// Zeroes every registered counter and histogram (registration
+  /// survives). Gauges are occupancy, not event counts, and keep their
+  /// values. Not forwarded: resetting a scope leaves its parent alone, and
+  /// resetting a parent leaves its scopes alone. Tests and the
+  /// metrics_dump CLI use this to scope a snapshot to one workload.
   void Reset() ERQ_EXCLUDES(mu_);
 
   /// Sorted names of all registered instruments (any kind).
   std::vector<std::string> Names() const ERQ_EXCLUDES(mu_);
 
  private:
+  MetricsRegistry* const parent_;
   // The universal leaf of the lock hierarchy: every module registers
   // instruments (possibly under its own lock); this lock calls out to
-  // nothing.
+  // nothing. A scope and its parent share the rank, so a scope resolves
+  // the parent's instrument before taking its own mutex: the two never
+  // nest.
   mutable Mutex mu_
       ERQ_ACQUIRED_AFTER(lock_order::kMetrics){lock_order::kMetrics};
   std::map<std::string, std::unique_ptr<Counter>> counters_

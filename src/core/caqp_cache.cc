@@ -15,66 +15,36 @@ constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 constexpr std::memory_order kAcquire = std::memory_order_acquire;
 constexpr std::memory_order kAcqRel = std::memory_order_acq_rel;
 
-/// Global C_aqp instruments, resolved once (see metrics.h). These mirror
-/// the per-instance AtomicCounters into the process-wide registry,
-/// aggregating across every live cache; per-instance numbers remain
-/// available via stats_snapshot(). `erq.caqp.size` tracks live parts by
-/// delta (inserts minus removals; the dtor subtracts what remains).
-/// `erq.caqp.epoch.pending` is a sampled gauge, refreshed whenever some
-/// instance's stats_snapshot() runs.
-struct CaqpMetrics {
-  Counter* lookups;
-  Counter* hits;
-  Counter* misses;
-  Counter* conditions_scanned;
-  Counter* insert_attempts;
-  Counter* inserted;
-  Counter* skipped_covered;
-  Counter* removed_covered;
-  Counter* evictions;
-  Counter* invalidation_drops;
-  Counter* postings_scanned;
-  Counter* candidate_entries;
-  Counter* signature_rejects;
-  Counter* epoch_retired;
-  Gauge* size;
-  Gauge* epoch_pending;
-
-  static const CaqpMetrics& Get() {
-    static const CaqpMetrics m = [] {
-      MetricsRegistry& r = MetricsRegistry::Global();
-      return CaqpMetrics{
-          r.GetCounter("erq.caqp.lookups"),
-          r.GetCounter("erq.caqp.hits"),
-          r.GetCounter("erq.caqp.misses"),
-          r.GetCounter("erq.caqp.conditions_scanned"),
-          r.GetCounter("erq.caqp.insert_attempts"),
-          r.GetCounter("erq.caqp.inserted"),
-          r.GetCounter("erq.caqp.skipped_covered"),
-          r.GetCounter("erq.caqp.removed_covered"),
-          r.GetCounter("erq.caqp.evictions"),
-          r.GetCounter("erq.caqp.invalidation_drops"),
-          r.GetCounter("erq.caqp.postings_scanned"),
-          r.GetCounter("erq.caqp.candidate_entries"),
-          r.GetCounter("erq.caqp.signature_rejects"),
-          r.GetCounter("erq.caqp.epoch.retired"),
-          r.GetGauge("erq.caqp.size"),
-          r.GetGauge("erq.caqp.epoch.pending"),
-      };
-    }();
-    return m;
-  }
-};
-
 }  // namespace
 
-CaqpCache::CaqpCache(size_t n_max) : n_max_(n_max) {
+CaqpCache::Instruments CaqpCache::ResolveInstruments(MetricsRegistry& scope) {
+  Instruments m;
+  m.lookups = scope.GetCounter("erq.caqp.lookups");
+  m.hits = scope.GetCounter("erq.caqp.hits");
+  m.misses = scope.GetCounter("erq.caqp.misses");
+  m.conditions_scanned = scope.GetCounter("erq.caqp.conditions_scanned");
+  m.insert_attempts = scope.GetCounter("erq.caqp.insert_attempts");
+  m.inserted = scope.GetCounter("erq.caqp.inserted");
+  m.skipped_covered = scope.GetCounter("erq.caqp.skipped_covered");
+  m.removed_covered = scope.GetCounter("erq.caqp.removed_covered");
+  m.evictions = scope.GetCounter("erq.caqp.evictions");
+  m.invalidation_drops = scope.GetCounter("erq.caqp.invalidation_drops");
+  m.postings_scanned = scope.GetCounter("erq.caqp.postings_scanned");
+  m.candidate_entries = scope.GetCounter("erq.caqp.candidate_entries");
+  m.signature_rejects = scope.GetCounter("erq.caqp.signature_rejects");
+  m.epoch_retired = scope.GetCounter("erq.caqp.epoch.retired");
+  m.size = scope.GetGauge("erq.caqp.size");
+  m.epoch_pending = scope.GetGauge("erq.caqp.epoch.pending");
+  return m;
+}
+
+CaqpCache::CaqpCache(size_t n_max)
+    : n_max_(n_max), metrics_(ResolveInstruments(scope_)) {
   // Publish an empty snapshot so readers never see null.
   published_.store(new Index, std::memory_order_release);
 }
 
 CaqpCache::~CaqpCache() {
-  CaqpMetrics::Get().size->Add(-static_cast<int64_t>(live_.load(kRelaxed)));
   // No lookup may be in flight: drain retired snapshots, then drop the
   // published one (entries/items are freed via shared_ptr once the
   // writer-side vectors go).
@@ -135,20 +105,13 @@ bool CaqpCache::FindCovering(const Index& index, const AtomicQueryPart& aqp,
 
 void CaqpCache::FlushLookups(uint64_t n, uint64_t hits,
                              const LookupWork& work) {
-  counters_.lookups.fetch_add(n, kRelaxed);
-  counters_.postings_scanned.fetch_add(work.postings, kRelaxed);
-  counters_.candidate_entries.fetch_add(work.candidates, kRelaxed);
-  counters_.signature_rejects.fetch_add(work.signature_rejects, kRelaxed);
-  counters_.conditions_scanned.fetch_add(work.conditions, kRelaxed);
-  counters_.hits.fetch_add(hits, kRelaxed);
-  const CaqpMetrics& global = CaqpMetrics::Get();
-  global.lookups->Increment(n);
-  global.postings_scanned->Increment(work.postings);
-  global.candidate_entries->Increment(work.candidates);
-  global.signature_rejects->Increment(work.signature_rejects);
-  global.conditions_scanned->Increment(work.conditions);
-  global.hits->Increment(hits);
-  global.misses->Increment(n - hits);
+  metrics_.lookups->Increment(n);
+  metrics_.postings_scanned->Increment(work.postings);
+  metrics_.candidate_entries->Increment(work.candidates);
+  metrics_.signature_rejects->Increment(work.signature_rejects);
+  metrics_.conditions_scanned->Increment(work.conditions);
+  metrics_.hits->Increment(hits);
+  metrics_.misses->Increment(n - hits);
 }
 
 bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
@@ -159,9 +122,8 @@ bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
     EpochReadGuard guard(&epoch_);
     hit = FindCovering(*published_.load(kAcquire), aqp, query_sig, &work);
   }
-  // Flush outside the epoch section: the global registry takes a mutex,
-  // and blocking while pinning an epoch would stall reclamation
-  // (tools/lock_lint.py enforces this).
+  // Flushed after the epoch section, which stays as short as the search:
+  // a pinned epoch holds back reclamation for every writer.
   FlushLookups(1, hit ? 1 : 0, work);
   return hit;
 }
@@ -228,7 +190,7 @@ void CaqpCache::RepublishEntryItemsLocked(Entry& entry) {
   const ItemVec* old = entry.pub->items.exchange(vec, kAcqRel);
   if (old != nullptr) {
     epoch_.Retire([old] { delete old; });
-    CaqpMetrics::Get().epoch_retired->Increment();
+    metrics_.epoch_retired->Increment();
   }
 }
 
@@ -248,12 +210,11 @@ void CaqpCache::RebuildIndexLocked() {
   }
   const Index* old = published_.exchange(index, kAcqRel);
   epoch_.Retire([old] { delete old; });
-  CaqpMetrics::Get().epoch_retired->Increment();
+  metrics_.epoch_retired->Increment();
 }
 
 void CaqpCache::Insert(const AtomicQueryPart& aqp) {
-  counters_.insert_attempts.fetch_add(1, kRelaxed);
-  CaqpMetrics::Get().insert_attempts->Increment();
+  metrics_.insert_attempts->Increment();
   if (n_max_ == 0) return;
   RelationSignature new_sig = RelationSignature::Of(aqp.relations());
   MutexLock lock(&mu_);
@@ -264,8 +225,7 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
   // part gets its reference bit set — it proved useful again.
   LookupWork scratch;  // insert-side searches are not lookup statistics
   if (FindCovering(*published_.load(kRelaxed), aqp, new_sig, &scratch)) {
-    counters_.skipped_covered.fetch_add(1, kRelaxed);
-    CaqpMetrics::Get().skipped_covered->Increment();
+    metrics_.skipped_covered->Increment();
     return;
   }
 
@@ -308,9 +268,8 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
   Entry& entry = entries_[entry_idx];
   entry.items.push_back(slot);
   live_.fetch_add(1, kRelaxed);
-  counters_.inserted.fetch_add(1, kRelaxed);
-  CaqpMetrics::Get().inserted->Increment();
-  CaqpMetrics::Get().size->Add(1);
+  metrics_.inserted->Increment();
+  metrics_.size->Add(1);
   RepublishEntryItemsLocked(entry);
   if (membership_changed || created) RebuildIndexLocked();
   if (listener_ != nullptr) listener_->OnInsert(aqp);
@@ -354,8 +313,7 @@ bool CaqpCache::EvictOneLocked() {
   for (const Item& item : slots_) {
     if (item.alive) ++actual;
   }
-  CaqpMetrics::Get().size->Add(static_cast<int64_t>(actual) -
-                               static_cast<int64_t>(live));
+  metrics_.size->Set(static_cast<int64_t>(actual));
   live_.store(actual, kRelaxed);
   return false;
 }
@@ -367,20 +325,16 @@ void CaqpCache::ReleaseSlotLocked(size_t slot, RemoveReason reason) {
   item.part.reset();  // release the condition's memory
   free_slots_.push_back(slot);
   live_.fetch_sub(1, kRelaxed);
-  const CaqpMetrics& global = CaqpMetrics::Get();
-  global.size->Add(-1);
+  metrics_.size->Add(-1);
   switch (reason) {
     case RemoveReason::kEvicted:
-      counters_.evictions.fetch_add(1, kRelaxed);
-      global.evictions->Increment();
+      metrics_.evictions->Increment();
       break;
     case RemoveReason::kDisplaced:
-      counters_.removed_covered.fetch_add(1, kRelaxed);
-      global.removed_covered->Increment();
+      metrics_.removed_covered->Increment();
       break;
     case RemoveReason::kInvalidated:
-      counters_.invalidation_drops.fetch_add(1, kRelaxed);
-      global.invalidation_drops->Increment();
+      metrics_.invalidation_drops->Increment();
       break;
   }
 }
@@ -480,7 +434,7 @@ size_t CaqpCache::GetOrCreateEntryLocked(const RelationSet& relations,
 void CaqpCache::Clear() {
   MutexLock lock(&mu_);
   if (listener_ != nullptr) listener_->OnClear();
-  CaqpMetrics::Get().size->Add(-static_cast<int64_t>(live_.load(kRelaxed)));
+  metrics_.size->Set(0);
   live_.store(0, kRelaxed);
   slots_.clear();
   free_slots_.clear();
@@ -541,18 +495,18 @@ size_t CaqpCache::DropIf(
 
 CaqpCache::CacheStats CaqpCache::stats_snapshot() const {
   CacheStats out;
-  out.lookups = counters_.lookups.load(kRelaxed);
-  out.hits = counters_.hits.load(kRelaxed);
-  out.conditions_scanned = counters_.conditions_scanned.load(kRelaxed);
-  out.insert_attempts = counters_.insert_attempts.load(kRelaxed);
-  out.inserted = counters_.inserted.load(kRelaxed);
-  out.skipped_covered = counters_.skipped_covered.load(kRelaxed);
-  out.removed_covered = counters_.removed_covered.load(kRelaxed);
-  out.evictions = counters_.evictions.load(kRelaxed);
-  out.invalidation_drops = counters_.invalidation_drops.load(kRelaxed);
-  out.postings_scanned = counters_.postings_scanned.load(kRelaxed);
-  out.candidate_entries = counters_.candidate_entries.load(kRelaxed);
-  out.signature_rejects = counters_.signature_rejects.load(kRelaxed);
+  out.lookups = metrics_.lookups->Value();
+  out.hits = metrics_.hits->Value();
+  out.conditions_scanned = metrics_.conditions_scanned->Value();
+  out.insert_attempts = metrics_.insert_attempts->Value();
+  out.inserted = metrics_.inserted->Value();
+  out.skipped_covered = metrics_.skipped_covered->Value();
+  out.removed_covered = metrics_.removed_covered->Value();
+  out.evictions = metrics_.evictions->Value();
+  out.invalidation_drops = metrics_.invalidation_drops->Value();
+  out.postings_scanned = metrics_.postings_scanned->Value();
+  out.candidate_entries = metrics_.candidate_entries->Value();
+  out.signature_rejects = metrics_.signature_rejects->Value();
   {
     MutexLock lock(&mu_);
     out.entries_live = entries_.size() - free_entries_.size();
@@ -561,23 +515,8 @@ CaqpCache::CacheStats CaqpCache::stats_snapshot() const {
   }
   EpochManager::Stats es = epoch_.GetStats();
   out.epoch_pending = es.pending;
-  CaqpMetrics::Get().epoch_pending->Set(static_cast<int64_t>(es.pending));
+  metrics_.epoch_pending->Set(static_cast<int64_t>(es.pending));
   return out;
-}
-
-void CaqpCache::ResetStats() {
-  counters_.lookups.store(0, kRelaxed);
-  counters_.hits.store(0, kRelaxed);
-  counters_.conditions_scanned.store(0, kRelaxed);
-  counters_.insert_attempts.store(0, kRelaxed);
-  counters_.inserted.store(0, kRelaxed);
-  counters_.skipped_covered.store(0, kRelaxed);
-  counters_.removed_covered.store(0, kRelaxed);
-  counters_.evictions.store(0, kRelaxed);
-  counters_.invalidation_drops.store(0, kRelaxed);
-  counters_.postings_scanned.store(0, kRelaxed);
-  counters_.candidate_entries.store(0, kRelaxed);
-  counters_.signature_rejects.store(0, kRelaxed);
 }
 
 std::string CaqpCache::Explain() const {

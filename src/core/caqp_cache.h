@@ -14,6 +14,7 @@
 
 #include "common/epoch.h"
 #include "common/lock_order.h"
+#include "common/metrics.h"
 #include "common/thread_annotations.h"
 #include "core/atomic_query_part.h"
 #include "core/signature.h"
@@ -35,8 +36,9 @@ namespace erq {
 ///     concurrent lookups never serialize on anything but their own
 ///     cache-line-striped epoch counters. The bookkeeping a lookup does
 ///     mutate — clock reference bits and statistics — lives in relaxed
-///     atomics shared between the writer state and every published
-///     snapshot, so recency survives republication.
+///     atomics: reference bits are shared between the writer state and
+///     every published snapshot, so recency survives republication, and
+///     statistics are the lock-free counters of the cache's metrics scope.
 ///   * Mutators (`Insert`, `InvalidateRelation`, `DropIf`, `Clear`) and
 ///     `SetChangeListener` serialize on one writer mutex. Only its holder
 ///     publishes, so under it the published index is current: Insert runs
@@ -85,8 +87,8 @@ class CaqpCache {
     virtual void OnClear() = 0;
   };
 
-  /// Value-type snapshot of the cache's counters and gauges (see
-  /// stats_snapshot()).
+  /// Value-type read view of the cache's metrics scope plus index gauges
+  /// (see stats_snapshot()).
   struct CacheStats {
     uint64_t lookups = 0;          ///< CoveredBy calls (batch: one per part)
     uint64_t hits = 0;             ///< CoveredBy returned true
@@ -117,9 +119,9 @@ class CaqpCache {
   /// A cache holding at most `n_max` parts (0 stores nothing).
   explicit CaqpCache(size_t n_max);
 
-  /// Reconciles the global `erq.caqp.size` gauge (this instance's live
-  /// parts are subtracted from the process-wide aggregate) and reclaims
-  /// every retired snapshot. No lookup may be in flight.
+  /// Reclaims every retired snapshot. No lookup may be in flight. (The
+  /// metrics scope takes this instance's live parts out of the global
+  /// `erq.caqp.size` gauge as it goes.)
   ~CaqpCache();
 
   /// True if some stored atomic query part covers `aqp` — i.e. the output
@@ -163,12 +165,14 @@ class CaqpCache {
   /// Relaxed value-type snapshot of the counters plus index gauges — never
   /// a live reference. Counters are updated lock-free, so a snapshot taken
   /// while lookups are in flight is approximate (each counter is
-  /// individually accurate). The same counters are mirrored, aggregated
-  /// across instances, into MetricsRegistry::Global() as `erq.caqp.*`;
-  /// sampling here also refreshes the `erq.caqp.epoch.pending` gauge.
+  /// individually accurate). The counters are this instance's metrics
+  /// scope, which forwards every event to MetricsRegistry::Global()'s
+  /// `erq.caqp.*`; sampling here also refreshes the scope's
+  /// `erq.caqp.epoch.pending` gauge.
   CacheStats stats_snapshot() const ERQ_EXCLUDES(mu_);
-  /// Zeroes every counter (gauges are recomputed on the next snapshot).
-  void ResetStats();
+  /// Zeroes this instance's counters (the global aggregate keeps them;
+  /// gauges are recomputed on the next snapshot).
+  void ResetStats() { scope_.Reset(); }
 
   /// Human-readable description of the cache internals: occupancy, index
   /// shape (posting-list fan-out), and per-lookup work averages.
@@ -259,22 +263,26 @@ class CaqpCache {
     uint64_t conditions = 0;
   };
 
-  /// Mirror of the counter half of CacheStats in relaxed atomics, so the
-  /// lookup path updates statistics without any lock.
-  struct AtomicCounters {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> conditions_scanned{0};
-    std::atomic<uint64_t> insert_attempts{0};
-    std::atomic<uint64_t> inserted{0};
-    std::atomic<uint64_t> skipped_covered{0};
-    std::atomic<uint64_t> removed_covered{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> invalidation_drops{0};
-    std::atomic<uint64_t> postings_scanned{0};
-    std::atomic<uint64_t> candidate_entries{0};
-    std::atomic<uint64_t> signature_rejects{0};
+  /// The `erq.caqp.*` instruments of `scope_`, resolved once.
+  struct Instruments {
+    Counter* lookups;
+    Counter* hits;
+    Counter* misses;
+    Counter* conditions_scanned;
+    Counter* insert_attempts;
+    Counter* inserted;
+    Counter* skipped_covered;
+    Counter* removed_covered;
+    Counter* evictions;
+    Counter* invalidation_drops;
+    Counter* postings_scanned;
+    Counter* candidate_entries;
+    Counter* signature_rejects;
+    Counter* epoch_retired;
+    Gauge* size;
+    Gauge* epoch_pending;
   };
+  static Instruments ResolveInstruments(MetricsRegistry& scope);
 
   // ---- read path over a published snapshot -----------------------------
 
@@ -288,7 +296,7 @@ class CaqpCache {
                    const RelationSignature& query_sig,
                    LookupWork* work) const;
   /// Adds `n` lookups (`hits` of them hits) and their work tally to the
-  /// instance and global counters, one relaxed add each.
+  /// counters, one relaxed add each.
   void FlushLookups(uint64_t n, uint64_t hits, const LookupWork& work);
 
   // ---- writer path ------------------------------------------------------
@@ -334,6 +342,12 @@ class CaqpCache {
   // Capacity, immutable after construction: safe to read unlocked.
   const size_t n_max_;
 
+  // This instance's statistics: a scope of MetricsRegistry::Global(), so
+  // each event is counted once here and forwarded to the process-wide
+  // aggregate.
+  MetricsRegistry scope_{&MetricsRegistry::Global()};
+  const Instruments metrics_;
+
   // The writer mutex. Its holders call the persistence listener
   // (OnInsert/OnRemove/OnClear journal under Persistence::mu_) and
   // epoch-retire replaced snapshots, hence ACQUIRED_BEFORE both.
@@ -359,12 +373,10 @@ class CaqpCache {
   std::atomic<size_t> live_{0};
   // The published snapshot; never null after construction. Writers
   // exchange under `mu_` and epoch-retire the predecessor; readers load
-  // (acquire) inside an epoch critical section. Every lookup loads it and
-  // bumps `counters_`, so the two sit on separate cache lines: sharing
-  // one would make each counter flush evict the pointer from every other
-  // reader's cache.
+  // (acquire) inside an epoch critical section. Every lookup loads it, so
+  // it sits alone on its cache line: sharing one with written state would
+  // make each write evict the pointer from every reader's cache.
   alignas(64) std::atomic<const Index*> published_{nullptr};
-  alignas(64) mutable AtomicCounters counters_;
   // Reclamation domain for published snapshots and item vectors.
   mutable EpochManager epoch_;
 };

@@ -94,8 +94,8 @@ std::string QueryOutcome::ToString() const {
   return QueryResponse::FromOutcome(*this, request).ToText();
 }
 
-EmptyResultManager::Instruments EmptyResultManager::ResolveInstruments() {
-  MetricsRegistry& r = MetricsRegistry::Global();
+EmptyResultManager::Instruments EmptyResultManager::ResolveInstruments(
+    MetricsRegistry& r) {
   Instruments m;
   m.stage_parse = r.GetHistogram("erq.manager.stage.parse");
   m.stage_plan = r.GetHistogram("erq.manager.stage.plan");
@@ -113,7 +113,25 @@ EmptyResultManager::Instruments EmptyResultManager::ResolveInstruments() {
   m.empty_results = r.GetCounter("erq.manager.empty_results");
   m.recorded = r.GetCounter("erq.manager.recorded");
   m.branches_pruned = r.GetCounter("erq.manager.branches_pruned");
+  m.reused_subtrees = r.GetCounter("erq.manager.reused_subtrees");
+  m.intermediates_harvested =
+      r.GetCounter("erq.manager.intermediates_harvested");
   return m;
+}
+
+ManagerStats EmptyResultManager::stats_snapshot() const {
+  ManagerStats out;
+  out.queries = metrics_.queries->Value();
+  out.low_cost = metrics_.low_cost->Value();
+  out.checks = metrics_.checks->Value();
+  out.detected_empty = metrics_.detected_empty->Value();
+  out.executed = metrics_.executed->Value();
+  out.empty_results = metrics_.empty_results->Value();
+  out.recorded = metrics_.recorded->Value();
+  out.branches_pruned = metrics_.branches_pruned->Value();
+  out.reused_subtrees = metrics_.reused_subtrees->Value();
+  out.intermediates_harvested = metrics_.intermediates_harvested->Value();
+  return out;
 }
 
 EmptyResultManager::EmptyResultManager(Catalog* catalog, StatsCatalog* stats,
@@ -130,7 +148,7 @@ EmptyResultManager::EmptyResultManager(Catalog* catalog, StatsCatalog* stats,
       optimizer_(catalog, stats,
                  WithReuseSource(optimizer_options, reuse_store_.get())),
       detector_(config),
-      metrics_(ResolveInstruments()) {
+      metrics_(ResolveInstruments(scope_)) {
   if (!init_status_.ok()) return;  // unusable: don't hook catalog events
   if (config_.persist.enabled()) {
     // Recover the previous process's C_aqp before any query runs; a
@@ -234,10 +252,6 @@ StatusOr<PhysOpPtr> EmptyResultManager::Prepare(const std::string& sql) {
 Status EmptyResultManager::PrepareInto(const Statement& stmt,
                                        PreparedStatement* prep) {
   metrics_.queries->Increment();
-  {
-    MutexLock lock(&mu_);
-    ++stats_.queries;
-  }
   QueryOutcome& outcome = prep->outcome;
   {
     ScopedSpan span(metrics_.stage_plan, &outcome.timings.plan_seconds);
@@ -253,11 +267,7 @@ Status EmptyResultManager::PrepareInto(const Statement& stmt,
     ScopedSpan span(metrics_.stage_gate, &outcome.timings.gate_seconds);
     outcome.high_cost = outcome.estimated_cost > EffectiveCostThreshold();
   }
-  if (!outcome.high_cost) {
-    metrics_.low_cost->Increment();
-    MutexLock lock(&mu_);
-    ++stats_.low_cost;
-  }
+  if (!outcome.high_cost) metrics_.low_cost->Increment();
   return Status::OK();
 }
 
@@ -276,8 +286,6 @@ StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
       check = detector_.CheckEmpty(prep.planned.root);
     }
     metrics_.checks->Increment();
-    MutexLock lock(&mu_);
-    ++stats_.checks;
   }
   return FinishChecked(std::move(prep), std::move(check));
 }
@@ -363,8 +371,6 @@ std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
       pending[checked[j]].prep.outcome.timings.check_seconds = share;
     }
     metrics_.checks->Increment(checked.size());
-    MutexLock lock(&mu_);
-    stats_.checks += checked.size();
   }
 
   // Phase 3: finish each query independently, in input order.
@@ -406,8 +412,6 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     metrics_.detected_empty->Increment();
     {
       MutexLock lock(&mu_);
-      ++stats_.detected_empty;
-      stats_.execute_seconds_saved_estimate += outcome.estimated_cost;
       cost_gate_.ObserveDetected(outcome.estimated_cost,
                                  outcome.timings.check_seconds);
     }
@@ -426,10 +430,6 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     }
     if (outcome.branches_pruned > 0) {
       metrics_.branches_pruned->Increment(outcome.branches_pruned);
-      {
-        MutexLock lock(&mu_);
-        stats_.branches_pruned += outcome.branches_pruned;
-      }
       ScopedSpan span(metrics_.stage_optimize,
                       &outcome.timings.optimize_seconds);
       ERQ_ASSIGN_OR_RETURN(physical, optimizer_.Optimize(pruned));
@@ -473,12 +473,10 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
 
   {
     MutexLock lock(&mu_);
-    ++stats_.executed;
     cost_gate_.ObserveExecuted(outcome.estimated_cost,
                                outcome.timings.check_seconds,
                                outcome.timings.execute_seconds,
                                outcome.result_empty);
-    if (outcome.result_empty) ++stats_.empty_results;
   }
 
   if (outcome.result_empty) {
@@ -492,11 +490,7 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
       ScopedSpan span(metrics_.stage_record, &outcome.timings.record_seconds);
       outcome.aqps_recorded = detector_.RecordEmpty(physical);
     }
-    if (outcome.aqps_recorded > 0) {
-      metrics_.recorded->Increment();
-      MutexLock lock(&mu_);
-      ++stats_.recorded;
-    }
+    if (outcome.aqps_recorded > 0) metrics_.recorded->Increment();
   }
 
   if (config_.detection_enabled && config_.partition_pruning &&
@@ -513,10 +507,12 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     ScopedSpan span(metrics_.stage_record, &outcome.timings.record_seconds);
     outcome.intermediates_harvested = HarvestIntermediates(harvested);
   }
-  if (outcome.reused_subtrees > 0 || outcome.intermediates_harvested > 0) {
-    MutexLock lock(&mu_);
-    stats_.reused_subtrees += outcome.reused_subtrees;
-    stats_.intermediates_harvested += outcome.intermediates_harvested;
+  if (outcome.reused_subtrees > 0) {
+    metrics_.reused_subtrees->Increment(outcome.reused_subtrees);
+  }
+  if (outcome.intermediates_harvested > 0) {
+    metrics_.intermediates_harvested->Increment(
+        outcome.intermediates_harvested);
   }
   outcome.timings.total_seconds = total_timer.Seconds();
   metrics_.query_total->Observe(outcome.timings.total_seconds);

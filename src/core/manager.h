@@ -113,7 +113,8 @@ struct QueryOutcome {
 /// Execute()/ExecuteBatch(); defined in core/query_api.h.
 struct QueryRequest;
 
-/// Aggregate counters across a query stream.
+/// Aggregate counters across a query stream: a value-type read view of
+/// the manager's metrics scope (`erq.manager.*`).
 struct ManagerStats {
   uint64_t queries = 0;         ///< statements run (batch: one each)
   uint64_t low_cost = 0;        ///< queries below the C_cost gate
@@ -126,9 +127,6 @@ struct ManagerStats {
   uint64_t reused_subtrees = 0;  ///< plan subtrees served from the reuse store
   uint64_t intermediates_harvested = 0;  ///< operator outputs admitted into
                                          ///< the reuse store
-  /// Execution seconds avoided by detection hits, estimated from the
-  /// adaptive gate's exec_time(c) ~ alpha * c fit.
-  double execute_seconds_saved_estimate = 0.0;
 };
 
 /// EmptyResultManager glues the whole pipeline together — the role the
@@ -138,19 +136,20 @@ struct ManagerStats {
 /// Registers itself as a catalog update listener so base-table updates
 /// invalidate stored parts (read-mostly batch-update model).
 ///
-/// Every stage records its latency into the process-wide MetricsRegistry
-/// (`erq.manager.stage.*` histograms; see DESIGN.md §"Observability") and
-/// into the returned QueryOutcome::Timings.
+/// Every stage records its latency into the manager's metrics scope, which
+/// forwards to the process-wide MetricsRegistry (`erq.manager.stage.*`
+/// histograms; see DESIGN.md §"Observability"), and into the returned
+/// QueryOutcome::Timings.
 ///
 /// The config is validated in the ctor (EmptyResultConfig::Validate());
 /// on a mis-configured manager every entry point returns that error.
 ///
-/// Thread safety: the manager's own mutable state — the aggregate
-/// counters and the adaptive cost gate — is guarded by `mu_`, and the
-/// C_aqp collection inside the detector is internally synchronized, so
-/// concurrent sessions may issue Query()/Execute() calls on one
-/// manager. Accessors ending in `_snapshot()` return value-type copies
-/// taken under the lock — never live references. The planner, optimizer,
+/// Thread safety: the adaptive cost gate is guarded by `mu_`, the
+/// counters are lock-free instruments of the manager's metrics scope, and
+/// the C_aqp collection inside the detector is internally synchronized,
+/// so concurrent sessions may issue Query()/Execute() calls on one
+/// manager. Accessors ending in `_snapshot()` return value-type copies —
+/// never live references. The planner, optimizer,
 /// and catalog are thread-compatible (read-only here); concurrent catalog
 /// *mutations* must be synchronized by the caller.
 class EmptyResultManager {
@@ -205,11 +204,9 @@ class EmptyResultManager {
   /// Read-only view of the reuse store (nullptr when disabled).
   const ReuseStore* reuse_store() const { return reuse_store_.get(); }
 
-  /// Value-type snapshot of the aggregate counters, taken under the lock.
-  ManagerStats stats_snapshot() const {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
+  /// Value-type snapshot of the aggregate counters (relaxed reads: each
+  /// counter individually accurate).
+  ManagerStats stats_snapshot() const;
 
   /// Value-type snapshot of the past-statistics model behind the C_cost
   /// gate; consult .Suggest() or enable config.auto_tune_c_cost.
@@ -221,11 +218,9 @@ class EmptyResultManager {
   /// The threshold currently in force (config.c_cost, or the adaptive
   /// suggestion when auto-tuning is enabled and warmed up).
   double EffectiveCostThreshold() const ERQ_EXCLUDES(mu_);
-  /// Zeroes the aggregate counters (the cost-gate model keeps learning).
-  void ResetStats() {
-    MutexLock lock(&mu_);
-    stats_ = ManagerStats{};
-  }
+  /// Zeroes this manager's counters and stage histograms (the global
+  /// aggregate keeps them; the cost-gate model keeps learning).
+  void ResetStats() { scope_.Reset(); }
 
   /// Invalidation hook (also wired to catalog update notifications).
   void OnTableUpdated(const std::string& table_name);
@@ -236,7 +231,8 @@ class EmptyResultManager {
   Persistence* persistence() { return persistence_.get(); }
 
  private:
-  /// Manager instruments, resolved once at construction (see metrics.h).
+  /// The `erq.manager.*` instruments of `scope_`, resolved once at
+  /// construction (see metrics.h).
   struct Instruments {
     Histogram* stage_parse;
     Histogram* stage_plan;
@@ -254,8 +250,10 @@ class EmptyResultManager {
     Counter* empty_results;
     Counter* recorded;
     Counter* branches_pruned;
+    Counter* reused_subtrees;
+    Counter* intermediates_harvested;
   };
-  static Instruments ResolveInstruments();
+  static Instruments ResolveInstruments(MetricsRegistry& scope);
 
   /// One statement mid-pipeline: planned, optimized, and cost-gated, but
   /// not yet checked or executed. `total_timer` starts at construction so
@@ -302,17 +300,20 @@ class EmptyResultManager {
   std::unique_ptr<ReuseStore> reuse_store_;
   Optimizer optimizer_;
   EmptyResultDetector detector_;
+  /// This manager's statistics: a scope of MetricsRegistry::Global(), so
+  /// each event is counted once here and forwarded to the process-wide
+  /// aggregate.
+  MetricsRegistry scope_{&MetricsRegistry::Global()};
   const Instruments metrics_;
   /// Declared after detector_ so it is destroyed first: the destructor
   /// detaches from the still-alive cache and flushes the journal.
   std::unique_ptr<Persistence> persistence_;
 
-  // Top of the lock hierarchy: held only around counter/gate updates,
-  // never across calls into the detector, caches, or persistence.
+  // Top of the lock hierarchy: held only around the cost gate, never
+  // across calls into the detector, caches, or persistence.
   mutable Mutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kManager)
       ERQ_ACQUIRED_BEFORE(lock_order::kCaqpCache){lock_order::kManager};
   AdaptiveCostGate cost_gate_ ERQ_GUARDED_BY(mu_);
-  ManagerStats stats_ ERQ_GUARDED_BY(mu_);
 };
 
 }  // namespace erq

@@ -7,28 +7,6 @@ namespace erq {
 
 namespace {
 
-/// Global MV-baseline instruments, resolved once (see metrics.h).
-/// Aggregated across instances; per-instance numbers via stats_snapshot().
-struct MvMetrics {
-  Counter* lookups;
-  Counter* hits;
-  Counter* stored;
-  Counter* evictions;
-
-  static const MvMetrics& Get() {
-    static const MvMetrics m = [] {
-      MetricsRegistry& r = MetricsRegistry::Global();
-      return MvMetrics{
-          r.GetCounter("erq.mv.lookups"),
-          r.GetCounter("erq.mv.hits"),
-          r.GetCounter("erq.mv.stored"),
-          r.GetCounter("erq.mv.evictions"),
-      };
-    }();
-    return m;
-  }
-};
-
 void AppendPlanFingerprint(const LogicalOperator& node, std::string* out) {
   out->append(LogicalOpKindToString(node.kind));
   out->push_back('(');
@@ -70,6 +48,22 @@ void AppendPlanFingerprint(const LogicalOperator& node, std::string* out) {
 
 }  // namespace
 
+MvEmptyCache::MvEmptyCache(size_t max_views)
+    : max_views_(max_views),
+      metrics_{scope_.GetCounter("erq.mv.lookups"),
+               scope_.GetCounter("erq.mv.hits"),
+               scope_.GetCounter("erq.mv.stored"),
+               scope_.GetCounter("erq.mv.evictions")} {}
+
+MvEmptyCache::MvStats MvEmptyCache::stats_snapshot() const {
+  MvStats out;
+  out.lookups = metrics_.lookups->Value();
+  out.hits = metrics_.hits->Value();
+  out.stored = metrics_.stored->Value();
+  out.evictions = metrics_.evictions->Value();
+  return out;
+}
+
 std::string MvEmptyCache::Fingerprint(const LogicalOpPtr& root) const {
   if (root == nullptr) return "";
   std::string out;
@@ -87,51 +81,28 @@ void MvEmptyCache::RecordEmpty(const LogicalOpPtr& root) {
     return;
   }
   while (keys_.size() >= max_views_) {
-    if (listener_ != nullptr) listener_->OnEvict(lru_.back());
     keys_.erase(lru_.back());
     lru_.pop_back();
-    ++stats_.evictions;
-    MvMetrics::Get().evictions->Increment();
+    metrics_.evictions->Increment();
   }
-  if (listener_ != nullptr) listener_->OnStore(key);
   lru_.push_front(key);
   keys_.emplace(std::move(key), lru_.begin());
-  ++stats_.stored;
-  MvMetrics::Get().stored->Increment();
-}
-
-void MvEmptyCache::RestoreFingerprint(const std::string& fp) {
-  if (fp.empty() || max_views_ == 0) return;
-  MutexLock lock(&mu_);
-  auto it = keys_.find(fp);
-  if (it != keys_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  while (keys_.size() >= max_views_) {
-    keys_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(fp);
-  keys_.emplace(fp, lru_.begin());
+  metrics_.stored->Increment();
 }
 
 bool MvEmptyCache::CheckEmpty(const LogicalOpPtr& root) {
   std::string key = Fingerprint(root);
   MutexLock lock(&mu_);
-  ++stats_.lookups;
-  MvMetrics::Get().lookups->Increment();
+  metrics_.lookups->Increment();
   auto it = keys_.find(key);
   if (it == keys_.end()) return false;
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
-  MvMetrics::Get().hits->Increment();
+  metrics_.hits->Increment();
   return true;
 }
 
 void MvEmptyCache::Clear() {
   MutexLock lock(&mu_);
-  if (listener_ != nullptr) listener_->OnClear();
   lru_.clear();
   keys_.clear();
 }

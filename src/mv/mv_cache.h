@@ -4,9 +4,9 @@
 #include <list>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/lock_order.h"
+#include "common/metrics.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
 #include "plan/logical_plan.h"
@@ -36,29 +36,18 @@ namespace erq {
 /// exists to measure the *conventional* MV discipline (§2.6), not to be
 /// fast.
 ///
-/// Thread safety: like CaqpCache, all public methods are internally
-/// synchronized with a single mutex — the baseline is consulted by the
-/// same concurrent sessions as C_aqp, and even lookups mutate LRU order
-/// and statistics.
+/// The baseline is in-memory only: it exists for comparisons
+/// (bench_ablation_mv_baseline, tests), and only C_aqp is persisted.
+///
+/// Thread safety: all public methods are internally synchronized with a
+/// single mutex — the baseline is consulted by the same concurrent
+/// sessions as C_aqp, and even lookups mutate LRU order. Statistics are
+/// the lock-free counters of the cache's metrics scope.
 class MvEmptyCache {
  public:
-  /// Observer of view-set mutations, used by the persistence layer to
-  /// journal the baseline cache alongside C_aqp. Callbacks run under the
-  /// cache mutex in mutation order (evictions before the store that
-  /// triggered them) and must not call back into the cache.
-  class ChangeListener {
-   public:
-    virtual ~ChangeListener() = default;
-    /// Fingerprint `fp` entered the cache.
-    virtual void OnStore(const std::string& fp) = 0;
-    /// Fingerprint `fp` was evicted (LRU capacity).
-    virtual void OnEvict(const std::string& fp) = 0;
-    /// The cache was cleared wholesale (no per-view OnEvict calls).
-    virtual void OnClear() = 0;
-  };
+  explicit MvEmptyCache(size_t max_views);
 
-  explicit MvEmptyCache(size_t max_views) : max_views_(max_views) {}
-
+  /// Value-type read view of the cache's metrics scope (`erq.mv.*`).
   struct MvStats {
     uint64_t lookups = 0;
     uint64_t hits = 0;
@@ -78,33 +67,9 @@ class MvEmptyCache {
   }
   void Clear();
 
-  /// Value-type snapshot of the counters, taken under the lock — never a
-  /// live reference. Mirrored, aggregated across instances, into
-  /// MetricsRegistry::Global() as `erq.mv.*`.
-  MvStats stats_snapshot() const {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
-
-  /// Installs (or, with nullptr, detaches) the mutation observer. The
-  /// caller owns `listener`; the swap takes the mutex, so no callback is
-  /// in flight once SetChangeListener returns.
-  void SetChangeListener(ChangeListener* listener) {
-    MutexLock lock(&mu_);
-    listener_ = listener;
-  }
-
-  /// Recovery-only: re-inserts a fingerprint persisted by a previous
-  /// process without touching statistics or notifying the listener. The
-  /// caller feeds fingerprints oldest-first so LRU order is rebuilt;
-  /// over-capacity restores evict silently.
-  void RestoreFingerprint(const std::string& fp);
-
-  /// Stored fingerprints, oldest first (recovery and tests).
-  std::vector<std::string> Fingerprints() const {
-    MutexLock lock(&mu_);
-    return std::vector<std::string>(lru_.rbegin(), lru_.rend());
-  }
+  /// Value-type snapshot of the counters — never a live reference. The
+  /// scope forwards every event to MetricsRegistry::Global()'s `erq.mv.*`.
+  MvStats stats_snapshot() const;
 
  private:
   /// Canonical fingerprint of the whole query (relations + normalized
@@ -112,17 +77,25 @@ class MvEmptyCache {
   /// cannot be fingerprinted. Pure: touches no shared state.
   std::string Fingerprint(const LogicalOpPtr& root) const;
 
-  // Holders call the DurableMv listener (OnStore/OnEvict/OnClear journal
-  // under Persistence::mu_), hence ACQUIRED_BEFORE.
-  mutable Mutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kMvCache)
-      ERQ_ACQUIRED_BEFORE(lock_order::kPersistence){lock_order::kMvCache};
+  /// The `erq.mv.*` counters of `scope_`, resolved once.
+  struct Instruments {
+    Counter* lookups;
+    Counter* hits;
+    Counter* stored;
+    Counter* evictions;
+  };
+
+  // A leaf within the query path: holders call into no other module.
+  mutable Mutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kMvCache){
+      lock_order::kMvCache};
 
   const size_t max_views_;
+  // This cache's statistics: a scope of MetricsRegistry::Global().
+  MetricsRegistry scope_{&MetricsRegistry::Global()};
+  const Instruments metrics_;
   std::list<std::string> lru_ ERQ_GUARDED_BY(mu_);  // front = most recent
   std::unordered_map<std::string, std::list<std::string>::iterator> keys_
       ERQ_GUARDED_BY(mu_);
-  MvStats stats_ ERQ_GUARDED_BY(mu_);
-  ChangeListener* listener_ ERQ_GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace erq

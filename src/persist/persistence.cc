@@ -98,8 +98,8 @@ Status Persistence::RecoverLocked() {
           journal.truncated_bytes);
     }
   }
-  // Replay into the mirrors: insert/store records are exactly the entries
-  // that entered a cache, remove records exactly those that left it, so
+  // Replay into the mirror: insert records are exactly the parts that
+  // entered the cache, remove records exactly those that left it, so
   // literal application reproduces the final cache contents (replay is
   // idempotent: Add/Erase of an already-applied key is a no-op).
   auto apply = [this](const Record& rec) {
@@ -113,15 +113,11 @@ Status Persistence::RecoverLocked() {
       case RecordType::kCaqpClear:
         caqp_mirror_.Clear();
         break;
+      // Legacy MV-baseline records from older files: parsed (so they do
+      // not read as a torn tail) and skipped.
       case RecordType::kMvStore:
-        mv_mirror_.Add(rec.payload);
-        break;
       case RecordType::kMvRemove:
-        mv_mirror_.Erase(rec.payload);
-        break;
       case RecordType::kMvClear:
-        mv_mirror_.Clear();
-        break;
       case RecordType::kFileHeader:
       case RecordType::kSnapshotFooter:
         break;
@@ -140,8 +136,6 @@ Status Persistence::RecoverLocked() {
     ERQ_ASSIGN_OR_RETURN(AtomicQueryPart part, ParsePart(line));
     recovered_.parts.push_back(std::move(part));
   }
-  recovered_.mv_fingerprints.assign(mv_mirror_.order.begin(),
-                                    mv_mirror_.order.end());
 
   recovered_.recovery_seconds = timer.Seconds();
   if (read_only_) return Status::OK();
@@ -195,12 +189,6 @@ Status Persistence::AttachCaqp(CaqpCache* cache) {
   return Status::OK();
 }
 
-void Persistence::InitMvMirror(const std::vector<std::string>& fps) {
-  MutexLock lock(&mu_);
-  mv_mirror_.Clear();
-  for (const std::string& fp : fps) mv_mirror_.Add(fp);
-}
-
 void Persistence::AppendLocked(RecordType type, std::string_view payload) {
   if (!io_status_.ok()) return;
   Status s = journal_.Append(type, payload);
@@ -220,12 +208,9 @@ void Persistence::MaybeRotateLocked() {
 
 Status Persistence::RotateLocked() {
   std::vector<Record> body;
-  body.reserve(caqp_mirror_.size() + mv_mirror_.size());
+  body.reserve(caqp_mirror_.size());
   for (const std::string& line : caqp_mirror_.order) {
     body.push_back(Record{RecordType::kCaqpInsert, line});
-  }
-  for (const std::string& fp : mv_mirror_.order) {
-    body.push_back(Record{RecordType::kMvStore, fp});
   }
   ERQ_RETURN_IF_ERROR(WriteSnapshot(options_.dir, body));
   PersistMetrics::Get().snapshots->Increment();
@@ -234,22 +219,6 @@ Status Persistence::RotateLocked() {
   }
   journal_.Close();
   return journal_.Open(options_.dir, /*truncate=*/true, options_);
-}
-
-void Persistence::JournalMvStore(const std::string& fp) {
-  MutexLock lock(&mu_);
-  if (mv_mirror_.Add(fp)) AppendLocked(RecordType::kMvStore, fp);
-}
-
-void Persistence::JournalMvRemove(const std::string& fp) {
-  MutexLock lock(&mu_);
-  if (mv_mirror_.Erase(fp)) AppendLocked(RecordType::kMvRemove, fp);
-}
-
-void Persistence::JournalMvClear() {
-  MutexLock lock(&mu_);
-  mv_mirror_.Clear();
-  AppendLocked(RecordType::kMvClear, "");
 }
 
 Status Persistence::Flush() {

@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file
-/// Crash-safe persistence for the empty-result caches: a snapshot plus an
-/// append-only journal of every mutation, recovered on startup
-/// (DESIGN.md §7). The `Persistence` object is the single owner of the
-/// on-disk state; it observes cache mutations through the caches'
-/// change-listener hooks and never calls back into a cache, so the lock
-/// order is strictly cache-mutex → persistence-mutex.
+/// Crash-safe persistence for C_aqp: a snapshot plus an append-only
+/// journal of every mutation, recovered on startup (DESIGN.md §7). The
+/// `Persistence` object is the single owner of the on-disk state; it
+/// observes cache mutations through the cache's change-listener hook and
+/// never calls back into the cache, so the lock order is strictly
+/// cache-mutex → persistence-mutex.
 
 #include <list>
 #include <memory>
@@ -26,20 +26,19 @@
 
 namespace erq {
 
-/// Durability engine for C_aqp (and, via DurableMv, the MV baseline
-/// cache). Open() recovers the previous process's state from
-/// `snapshot.erq` + `journal.erq`; AttachCaqp() loads that state into a
-/// live cache and starts journaling its mutations.
+/// Durability engine for C_aqp. Open() recovers the previous process's
+/// state from `snapshot.erq` + `journal.erq`; AttachCaqp() loads that
+/// state into a live cache and starts journaling its mutations.
 ///
 /// Rotation: the object keeps an in-memory *mirror* of the durable state
 /// (the serialized form of every live entry, maintained by the listener
 /// callbacks). When the journal outgrows
 /// PersistOptions::snapshot_journal_bytes, the mirror is written as a new
 /// snapshot (atomic rename) and the journal is reset — all without
-/// touching the caches, so rotation may run inside a listener callback.
+/// touching the cache, so rotation may run inside a listener callback.
 ///
 /// IO errors are sticky: after the first failed write, journaling stops,
-/// status() reports the error, and the caches keep serving from memory;
+/// status() reports the error, and the cache keeps serving from memory;
 /// the on-disk state remains a valid (if stale) recovery point.
 class Persistence : public CaqpCache::ChangeListener {
  public:
@@ -47,8 +46,6 @@ class Persistence : public CaqpCache::ChangeListener {
   struct RecoveredState {
     /// C_aqp parts, in original insertion order.
     std::vector<AtomicQueryPart> parts;
-    /// MV-baseline fingerprints, oldest first (LRU order rebuilds).
-    std::vector<std::string> mv_fingerprints;
     /// Body records read from the snapshot.
     uint64_t snapshot_records = 0;
     /// Records replayed from the journal (header excluded).
@@ -90,18 +87,6 @@ class Persistence : public CaqpCache::ChangeListener {
   /// with other threads; `cache` must outlive this object.
   ERQ_NODISCARD Status AttachCaqp(CaqpCache* cache);
 
-  /// Re-bases the MV half of the durable mirror on the fingerprints a
-  /// live MvEmptyCache actually holds (oldest first). Called by DurableMv
-  /// after restoring; pairs with the JournalMv* methods below.
-  void InitMvMirror(const std::vector<std::string>& fps) ERQ_EXCLUDES(mu_);
-
-  /// Journals an MV-baseline store (driven by DurableMv).
-  void JournalMvStore(const std::string& fp) ERQ_EXCLUDES(mu_);
-  /// Journals an MV-baseline eviction/removal (driven by DurableMv).
-  void JournalMvRemove(const std::string& fp) ERQ_EXCLUDES(mu_);
-  /// Journals an MV-baseline wholesale clear (driven by DurableMv).
-  void JournalMvClear() ERQ_EXCLUDES(mu_);
-
   /// Forces an fsync of the journal (clean-shutdown flush).
   ERQ_NODISCARD Status Flush() ERQ_EXCLUDES(mu_);
 
@@ -121,7 +106,7 @@ class Persistence : public CaqpCache::ChangeListener {
 
  private:
   /// Insertion-ordered set of serialized entries (the durable mirror of
-  /// one cache): a list for order plus an index for O(1) membership.
+  /// the cache): a list for order plus an index for O(1) membership.
   struct Mirror {
     std::list<std::string> order;
     std::unordered_map<std::string, std::list<std::string>::iterator> index;
@@ -138,7 +123,7 @@ class Persistence : public CaqpCache::ChangeListener {
   ERQ_NODISCARD static StatusOr<std::unique_ptr<Persistence>> OpenImpl(
       const PersistOptions& options, bool read_only);
 
-  /// Replays snapshot + journal records into the mirrors and fills
+  /// Replays snapshot + journal records into the mirror and fills
   /// recovered_ (called once from Open).
   ERQ_NODISCARD Status RecoverLocked() ERQ_REQUIRES(mu_);
 
@@ -147,7 +132,7 @@ class Persistence : public CaqpCache::ChangeListener {
   void AppendLocked(RecordType type, std::string_view payload)
       ERQ_REQUIRES(mu_);
 
-  /// Writes the mirrors as a fresh snapshot and resets the journal.
+  /// Writes the mirror as a fresh snapshot and resets the journal.
   ERQ_NODISCARD Status RotateLocked() ERQ_REQUIRES(mu_);
   void MaybeRotateLocked() ERQ_REQUIRES(mu_);
 
@@ -155,16 +140,15 @@ class Persistence : public CaqpCache::ChangeListener {
   /// True for OpenReadOnly instances: no truncation, no journal writes.
   bool read_only_ = false;
 
-  // Acquired under either cache's lock (listener callbacks) and held
-  // across IO seams that consult FailPoint and register metrics, hence
-  // the two ACQUIRED_BEFORE edges.
+  // Acquired under the cache's lock (listener callbacks) and held across
+  // IO seams that consult FailPoint and register metrics, hence the two
+  // ACQUIRED_BEFORE edges.
   mutable Mutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kPersistence)
       ERQ_ACQUIRED_BEFORE(lock_order::kFailPoint,
                           lock_order::kMetrics){lock_order::kPersistence};
   JournalWriter journal_ ERQ_GUARDED_BY(mu_);
   Status io_status_ ERQ_GUARDED_BY(mu_);
   Mirror caqp_mirror_ ERQ_GUARDED_BY(mu_);
-  Mirror mv_mirror_ ERQ_GUARDED_BY(mu_);
 
   /// Written once by Open before the object is shared.
   RecoveredState recovered_;

@@ -12,10 +12,9 @@
 ///   [u32 crc32 over type + payload_len + payload]
 ///
 /// Payloads are strings: serialized atomic-query-part lines for C_aqp
-/// records (core/serialize.h format) and raw fingerprints for the
-/// MvEmptyCache records. The magic doubles as the format version — a
-/// layout change bumps the last byte ("2QRE") and old readers stop at
-/// the first new-format record instead of misparsing it.
+/// records (core/serialize.h format). The magic doubles as the format
+/// version — a layout change bumps the last byte ("2QRE") and old readers
+/// stop at the first new-format record instead of misparsing it.
 
 #include <cstdint>
 #include <string>
@@ -39,11 +38,13 @@ enum class RecordType : uint8_t {
   kCaqpRemove = 3,
   /// C_aqp was cleared wholesale; empty payload.
   kCaqpClear = 4,
-  /// A fingerprint entered the MV baseline cache; payload = fingerprint.
+  /// Legacy, no longer written: older builds journaled the MV baseline
+  /// cache (payload = fingerprint). Still parsed, so files holding them
+  /// recover in full, and skipped on replay.
   kMvStore = 5,
-  /// A fingerprint was evicted from the MV baseline cache.
+  /// Legacy MV-baseline eviction; parsed and skipped.
   kMvRemove = 6,
-  /// The MV baseline cache was cleared; empty payload.
+  /// Legacy MV-baseline clear (empty payload); parsed and skipped.
   kMvClear = 7,
   /// Last record of a snapshot; payload = decimal count of body records,
   /// proving the snapshot was written to completion.

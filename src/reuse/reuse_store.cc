@@ -12,39 +12,6 @@ namespace erq {
 
 namespace {
 
-/// Reuse-store instruments, resolved once (see metrics.h). The gauges
-/// aggregate across instances; each store's destructor subtracts its own
-/// live contribution (the erq.caqp.size discipline).
-struct ReuseMetrics {
-  Counter* lookups;
-  Counter* hits;
-  Counter* rows_served;
-  Counter* admitted;
-  Counter* rejected;
-  Counter* evictions;
-  Counter* invalidated;
-  Gauge* entries;
-  Gauge* bytes;
-
-  static const ReuseMetrics& Get() {
-    static const ReuseMetrics m = [] {
-      MetricsRegistry& r = MetricsRegistry::Global();
-      return ReuseMetrics{
-          r.GetCounter("erq.reuse.lookups"),
-          r.GetCounter("erq.reuse.hits"),
-          r.GetCounter("erq.reuse.rows_served"),
-          r.GetCounter("erq.reuse.admitted"),
-          r.GetCounter("erq.reuse.rejected"),
-          r.GetCounter("erq.reuse.evictions"),
-          r.GetCounter("erq.reuse.invalidated"),
-          r.GetGauge("erq.reuse.entries"),
-          r.GetGauge("erq.reuse.bytes"),
-      };
-    }();
-    return m;
-  }
-};
-
 /// Fixed per-entry overhead charged on top of the row payload, so even a
 /// zero-row entry has a nonzero footprint and the budget bounds entry
 /// count, not just row bytes.
@@ -60,18 +27,27 @@ size_t EstimateRowBytes(const Row& row) {
   return bytes;
 }
 
-ReuseStore::ReuseStore(ReuseConfig config) : config_(config) {
+ReuseStore::Instruments ReuseStore::ResolveInstruments(
+    MetricsRegistry& scope) {
+  Instruments m;
+  m.lookups = scope.GetCounter("erq.reuse.lookups");
+  m.hits = scope.GetCounter("erq.reuse.hits");
+  m.rows_served = scope.GetCounter("erq.reuse.rows_served");
+  m.admitted = scope.GetCounter("erq.reuse.admitted");
+  m.rejected = scope.GetCounter("erq.reuse.rejected");
+  m.evictions = scope.GetCounter("erq.reuse.evictions");
+  m.invalidated = scope.GetCounter("erq.reuse.invalidated");
+  m.entries = scope.GetGauge("erq.reuse.entries");
+  m.bytes = scope.GetGauge("erq.reuse.bytes");
+  return m;
+}
+
+ReuseStore::ReuseStore(ReuseConfig config)
+    : config_(config), metrics_(ResolveInstruments(scope_)) {
   published_.store(new Index(), std::memory_order_release);
 }
 
 ReuseStore::~ReuseStore() {
-  const ReuseMetrics& m = ReuseMetrics::Get();
-  {
-    MutexLock lock(&mu_);
-    m.entries->Add(-static_cast<int64_t>(entries_.size()));
-    m.bytes->Add(-static_cast<int64_t>(bytes_));
-    entries_.clear();
-  }
   delete published_.exchange(nullptr, std::memory_order_acq_rel);
   epoch_.ReclaimAll();
 }
@@ -87,9 +63,7 @@ double ReuseStore::Score(const Entry& entry) {
 
 std::optional<ReuseSplice> ReuseStore::Lookup(
     const std::string& relation, const Conjunction& condition) const {
-  const ReuseMetrics& m = ReuseMetrics::Get();
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  m.lookups->Increment();
+  metrics_.lookups->Increment();
 
   const Entry* best = nullptr;
   {
@@ -112,10 +86,8 @@ std::optional<ReuseSplice> ReuseStore::Lookup(
     best->hits.fetch_add(1, std::memory_order_relaxed);
     best->last_use.store(seq_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    rows_served_.fetch_add(best->rows->size(), std::memory_order_relaxed);
-    m.hits->Increment();
-    m.rows_served->Increment(best->rows->size());
+    metrics_.hits->Increment();
+    metrics_.rows_served->Increment(best->rows->size());
     ReuseSplice splice;
     splice.rows = best->rows;  // shared_ptr copy taken inside the epoch:
                                // safe against concurrent eviction
@@ -128,23 +100,19 @@ std::optional<ReuseSplice> ReuseStore::Lookup(
 bool ReuseStore::Admit(const AtomicQueryPart& part,
                        std::shared_ptr<const std::vector<Row>> rows,
                        double saved_cost) {
-  const ReuseMetrics& m = ReuseMetrics::Get();
   if (!config_.enabled || rows == nullptr ||
       part.relations().size() != 1 || rows->size() > config_.max_rows) {
-    m.rejected->Increment();
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.rejected->Increment();
     return false;
   }
   size_t entry_bytes = kEntryOverheadBytes;
   for (const Row& row : *rows) entry_bytes += EstimateRowBytes(row);
   if (entry_bytes > config_.budget_bytes) {
-    m.rejected->Increment();
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.rejected->Increment();
     return false;
   }
 
   MutexLock lock(&mu_);
-  int64_t entry_delta = 0;
   // Structurally identical part: refresh in place (newer rows win — the
   // old ones may predate an intervening execution).
   for (std::shared_ptr<Entry>& existing : entries_) {
@@ -162,10 +130,7 @@ bool ReuseStore::Admit(const AtomicQueryPart& part,
                           std::memory_order_relaxed);
     existing = std::move(fresh);
     bytes_ = bytes_ - old_bytes + entry_bytes;
-    m.bytes->Add(static_cast<int64_t>(entry_bytes) -
-                 static_cast<int64_t>(old_bytes));
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    m.admitted->Increment();
+    metrics_.admitted->Increment();
     PublishLocked();
     return true;
   }
@@ -187,11 +152,8 @@ bool ReuseStore::Admit(const AtomicQueryPart& part,
       }
     }
     bytes_ -= entries_[victim]->bytes;
-    m.bytes->Add(-static_cast<int64_t>(entries_[victim]->bytes));
     entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(victim));
-    --entry_delta;
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    m.evictions->Increment();
+    metrics_.evictions->Increment();
   }
 
   std::shared_ptr<Entry> entry = std::make_shared<Entry>();
@@ -202,30 +164,22 @@ bool ReuseStore::Admit(const AtomicQueryPart& part,
   entry->saved_cost = saved_cost;
   entries_.push_back(std::move(entry));
   bytes_ += entry_bytes;
-  ++entry_delta;
-  m.bytes->Add(static_cast<int64_t>(entry_bytes));
-  m.entries->Add(entry_delta);
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  m.admitted->Increment();
+  metrics_.admitted->Increment();
   PublishLocked();
   return true;
 }
 
 size_t ReuseStore::DropIfLocked(
     const std::function<bool(const Entry&)>& pred) {
-  const ReuseMetrics& m = ReuseMetrics::Get();
   size_t dropped = 0;
   for (size_t i = entries_.size(); i-- > 0;) {
     if (!pred(*entries_[i])) continue;
     bytes_ -= entries_[i]->bytes;
-    m.bytes->Add(-static_cast<int64_t>(entries_[i]->bytes));
     entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
     ++dropped;
   }
   if (dropped > 0) {
-    m.entries->Add(-static_cast<int64_t>(dropped));
-    m.invalidated->Increment(dropped);
-    invalidated_.fetch_add(dropped, std::memory_order_relaxed);
+    metrics_.invalidated->Increment(dropped);
     PublishLocked();
   }
   return dropped;
@@ -280,22 +234,21 @@ void ReuseStore::PublishLocked() {
       published_.exchange(next, std::memory_order_acq_rel);
   epoch_.Retire([old] { delete old; });
   epoch_.TryReclaim();
+  metrics_.entries->Set(static_cast<int64_t>(entries_.size()));
+  metrics_.bytes->Set(static_cast<int64_t>(bytes_));
 }
 
 ReuseStoreStats ReuseStore::stats_snapshot() const {
   ReuseStoreStats out;
-  out.lookups = lookups_.load(std::memory_order_relaxed);
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.rows_served = rows_served_.load(std::memory_order_relaxed);
-  out.admitted = admitted_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.invalidated = invalidated_.load(std::memory_order_relaxed);
-  {
-    MutexLock lock(&mu_);
-    out.entries = entries_.size();
-    out.bytes = bytes_;
-  }
+  out.lookups = metrics_.lookups->Value();
+  out.hits = metrics_.hits->Value();
+  out.rows_served = metrics_.rows_served->Value();
+  out.admitted = metrics_.admitted->Value();
+  out.rejected = metrics_.rejected->Value();
+  out.evictions = metrics_.evictions->Value();
+  out.invalidated = metrics_.invalidated->Value();
+  out.entries = static_cast<uint64_t>(metrics_.entries->Value());
+  out.bytes = static_cast<uint64_t>(metrics_.bytes->Value());
   return out;
 }
 

@@ -18,6 +18,7 @@
 
 #include "common/epoch.h"
 #include "common/lock_order.h"
+#include "common/metrics.h"
 #include "common/thread_annotations.h"
 #include "core/atomic_query_part.h"
 #include "core/config.h"
@@ -26,7 +27,7 @@
 
 namespace erq {
 
-/// Value-type snapshot of the store's counters and gauges.
+/// Value-type read view of the store's metrics scope (`erq.reuse.*`).
 struct ReuseStoreStats {
   uint64_t lookups = 0;        ///< splice probes
   uint64_t hits = 0;           ///< probes answered from a stored entry
@@ -50,7 +51,8 @@ struct ReuseStoreStats {
 ///   * Lookup() is lock-free: it walks an immutable index published
 ///     behind an atomic pointer inside an epoch critical section. Hit
 ///     bookkeeping (hit counts, recency) lives in relaxed atomics shared
-///     between writer state and every published snapshot.
+///     between writer state and every published snapshot; statistics are
+///     the lock-free counters of the store's metrics scope.
 ///   * Mutators (Admit, the invalidation hooks, Clear) serialize on one
 ///     mutex at lock_order::kReuseStore and epoch-retire each replaced
 ///     snapshot, so readers never touch freed memory.
@@ -67,8 +69,9 @@ class ReuseStore final : public ReuseSpliceSource {
  public:
   explicit ReuseStore(ReuseConfig config);
 
-  /// Reconciles the global `erq.reuse.{entries,bytes}` gauges and
-  /// reclaims every retired snapshot. No lookup may be in flight.
+  /// Reclaims every retired snapshot. No lookup may be in flight. (The
+  /// metrics scope takes this store's `erq.reuse.{entries,bytes}` out of
+  /// the global gauges as it goes.)
   ~ReuseStore() override;
 
   ReuseStore(const ReuseStore&) = delete;
@@ -113,7 +116,7 @@ class ReuseStore final : public ReuseSpliceSource {
   void Clear() ERQ_EXCLUDES(mu_);
 
   /// Relaxed value-type snapshot of the counters plus live gauges.
-  ReuseStoreStats stats_snapshot() const ERQ_EXCLUDES(mu_);
+  ReuseStoreStats stats_snapshot() const;
 
   /// One line per live entry — "id relation | condition | rows bytes
   /// hits" — for tools/cache_inspect's reuse preview. Ordered by entry id.
@@ -151,7 +154,7 @@ class ReuseStore final : public ReuseSpliceSource {
   static double Score(const Entry& entry);
 
   /// Rebuilds and publishes the index from `entries_`, epoch-retiring the
-  /// predecessor.
+  /// predecessor, and refreshes the entries/bytes gauges.
   void PublishLocked() ERQ_REQUIRES(mu_);
 
   /// Drops entries matching `pred`, counting them as invalidations;
@@ -159,7 +162,27 @@ class ReuseStore final : public ReuseSpliceSource {
   size_t DropIfLocked(const std::function<bool(const Entry&)>& pred)
       ERQ_REQUIRES(mu_);
 
+  /// The `erq.reuse.*` instruments of `scope_`, resolved once.
+  struct Instruments {
+    Counter* lookups;
+    Counter* hits;
+    Counter* rows_served;
+    Counter* admitted;
+    Counter* rejected;
+    Counter* evictions;
+    Counter* invalidated;
+    Gauge* entries;
+    Gauge* bytes;
+  };
+  static Instruments ResolveInstruments(MetricsRegistry& scope);
+
   const ReuseConfig config_;
+
+  // This store's statistics: a scope of MetricsRegistry::Global(), so
+  // each event is counted once here and forwarded to the process-wide
+  // aggregate.
+  MetricsRegistry scope_{&MetricsRegistry::Global()};
+  const Instruments metrics_;
 
   mutable Mutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kReuseStore)
       ERQ_ACQUIRED_BEFORE(lock_order::kEpoch){lock_order::kReuseStore};
@@ -174,16 +197,6 @@ class ReuseStore final : public ReuseSpliceSource {
 
   // Recency clock bumped by lookup hits; lock-free.
   mutable std::atomic<uint64_t> seq_{0};
-
-  // Counter half of ReuseStoreStats in relaxed atomics (lock-free
-  // lookups update statistics without the mutex).
-  mutable std::atomic<uint64_t> lookups_{0};
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> rows_served_{0};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidated_{0};
 
   // Reclamation domain for published snapshots.
   mutable EpochManager epoch_;

@@ -16,7 +16,6 @@
 #include "core/serialize.h"
 #include "gtest/gtest.h"
 #include "mv/mv_cache.h"
-#include "persist/durable_mv.h"
 #include "persist/io.h"
 #include "persist/journal.h"
 #include "persist/persistence.h"
@@ -149,9 +148,10 @@ void ExerciseAllModules() {
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   CaqpCache cache(16);
   ASSERT_TRUE((*p)->AttachCaqp(&cache).ok());
-  DurableMv durable(p->get(), &mv);
+  for (const AtomicQueryPart& part : manager.detector().cache().Snapshot()) {
+    cache.Insert(part);
+  }
   ASSERT_TRUE((*p)->SnapshotNow().ok());
-  mv.Clear();
   p->reset();
   (void)RemoveFileIfExists(dir + "/" + kJournalFileName);
   (void)RemoveFileIfExists(dir + "/" + kSnapshotFileName);

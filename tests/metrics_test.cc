@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/caqp_cache.h"
 #include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "mv/mv_cache.h"
@@ -78,6 +79,67 @@ TEST(MetricsTest, RegistryReturnsStablePointers) {
   a->Increment();
   EXPECT_EQ(again->Value(), 1u);
   EXPECT_NE(registry.GetCounter("erq.test.b"), a);
+}
+
+TEST(MetricsTest, ScopeForwardsEveryUpdateToItsParent) {
+  MetricsRegistry parent;
+  Counter* total = parent.GetCounter("erq.test.events");
+  Gauge* level = parent.GetGauge("erq.test.level");
+  Histogram* latency = parent.GetHistogram("erq.test.latency");
+  {
+    MetricsRegistry a(&parent);
+    MetricsRegistry b(&parent);
+    a.GetCounter("erq.test.events")->Increment(3);
+    b.GetCounter("erq.test.events")->Increment(4);
+    EXPECT_EQ(a.GetCounter("erq.test.events")->Value(), 3u);
+    EXPECT_EQ(total->Value(), 7u);
+
+    // Gauges: Set forwards the delta, so the parent is the sum.
+    a.GetGauge("erq.test.level")->Set(5);
+    b.GetGauge("erq.test.level")->Add(2);
+    a.GetGauge("erq.test.level")->Set(1);
+    EXPECT_EQ(level->Value(), 3);
+
+    a.GetHistogram("erq.test.latency")->Observe(1e-6);
+    EXPECT_EQ(latency->Count(), 1u);
+
+    // Reset is local: a scope's reset leaves the aggregate alone.
+    a.Reset();
+    EXPECT_EQ(a.GetCounter("erq.test.events")->Value(), 0u);
+    EXPECT_EQ(a.GetHistogram("erq.test.latency")->Count(), 0u);
+    EXPECT_EQ(total->Value(), 7u);
+    EXPECT_EQ(latency->Count(), 1u);
+  }
+  // A destroyed scope takes its gauge values out of the parent; counted
+  // events stay counted.
+  EXPECT_EQ(level->Value(), 0);
+  EXPECT_EQ(total->Value(), 7u);
+}
+
+TEST(MetricsTest, ResetLeavesGaugesAlone) {
+  MetricsRegistry registry;
+  registry.GetCounter("erq.test.events")->Increment(2);
+  registry.GetGauge("erq.test.level")->Set(9);
+  registry.Reset();
+  EXPECT_EQ(registry.GetCounter("erq.test.events")->Value(), 0u);
+  EXPECT_EQ(registry.GetGauge("erq.test.level")->Value(), 9);
+}
+
+TEST(MetricsTest, GlobalResetKeepsLiveCaqpSize) {
+  // Occupancy survives a snapshot reset: metrics_dump resets Global()
+  // after recovery has refilled the cache, and the emitted gauge must
+  // still count those parts.
+  CaqpCache cache(16);
+  for (int64_t x = 0; x < 3; ++x) {
+    cache.Insert(AtomicQueryPart(
+        RelationSet({"t"}),
+        Conjunction::Make({PrimitiveTerm::MakeInterval(
+            ColumnId::Make("t", "x"), ValueInterval::Point(Value::Int(x)))})));
+  }
+  ASSERT_EQ(cache.size(), 3u);
+  MetricsRegistry::Global().Reset();
+  EXPECT_EQ(MetricsRegistry::Global().GetGauge("erq.caqp.size")->Value(),
+            static_cast<int64_t>(cache.size()));
 }
 
 // ---------------------------------------------------------------------------

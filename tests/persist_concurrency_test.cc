@@ -1,13 +1,13 @@
 // Persistence under concurrent cache traffic: several threads insert,
 // probe, and invalidate against a journaled CaqpCache (with snapshot
-// rotation forced mid-run) while others drive the MV journal; afterwards
-// a recovery must reproduce exactly the final cache contents. Runs under
+// rotation forced mid-run) while another flushes and polls the
+// persistence object from outside the cache lock; afterwards a recovery
+// must reproduce exactly the final cache contents. Runs under
 // TSan in CI (label "concurrency") to validate the cache-mutex →
 // persistence-mutex lock order.
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <thread>
@@ -53,7 +53,6 @@ TEST(PersistConcurrencyTest, ConcurrentMutationsRecoverExactly) {
   options.fsync_every_n = 16;             // keep the 1-CPU runner fast
 
   std::set<std::string> final_caqp;
-  std::vector<std::string> final_mv;
   {
     auto open = Persistence::Open(options);
     ASSERT_TRUE(open.ok()) << open.status().ToString();
@@ -80,11 +79,12 @@ TEST(PersistConcurrencyTest, ConcurrentMutationsRecoverExactly) {
         });
       }
     });
-    // MV journal traffic through the same Persistence object.
+    // A Persistence::mu_ contender that holds no cache lock: fsyncs and
+    // status polls interleave with the listener-driven appends.
     threads.emplace_back([&p] {
       for (int i = 0; i < 60; ++i) {
-        p->JournalMvStore("mv-" + std::to_string(i));
-        if (i % 4 == 3) p->JournalMvRemove("mv-" + std::to_string(i - 1));
+        EXPECT_TRUE(p->Flush().ok());
+        EXPECT_TRUE(p->status().ok());
       }
     });
     for (std::thread& th : threads) th.join();
@@ -92,20 +92,11 @@ TEST(PersistConcurrencyTest, ConcurrentMutationsRecoverExactly) {
     ASSERT_TRUE(p->status().ok()) << p->status().ToString();
     ASSERT_TRUE(p->Flush().ok());
     final_caqp = SerializedSet(cache.Snapshot());
-    // Mirror of the MV traffic above, single-threaded.
-    for (int i = 0; i < 60; ++i) {
-      final_mv.push_back("mv-" + std::to_string(i));
-      if (i % 4 == 3) {
-        final_mv.erase(std::find(final_mv.begin(), final_mv.end(),
-                                 "mv-" + std::to_string(i - 1)));
-      }
-    }
   }
 
   auto reopened = Persistence::Open(options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(SerializedSet((*reopened)->recovered().parts), final_caqp);
-  EXPECT_EQ((*reopened)->recovered().mv_fingerprints, final_mv);
 
   CaqpCache cache(10000);
   ASSERT_TRUE((*reopened)->AttachCaqp(&cache).ok());

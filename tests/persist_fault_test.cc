@@ -68,7 +68,7 @@ std::set<std::string> SerializedSet(const std::vector<AtomicQueryPart>& parts) {
 }
 
 /// Shadow model of what must / must not be on disk. Keys are serialized
-/// entries (C_aqp part lines or MV fingerprints in their own instance).
+/// C_aqp part lines.
 struct Shadow {
   bool crashed = false;
   std::set<std::string> on_disk;  // durably inserted, not durably removed
@@ -110,11 +110,11 @@ struct Shadow {
 };
 
 /// The fixed workload: inserts, a displacing insert, an invalidation, an
-/// opaque (memory-only) insert, clock evictions, MV journal traffic, a
-/// wholesale clear, and enough bytes to trigger snapshot rotations.
+/// opaque (memory-only) insert, clock evictions, a wholesale clear, and
+/// enough bytes to trigger snapshot rotations.
 /// Returns false when Persistence::Open itself crashed (the workload
-/// never ran; the shadows stay empty, which Verify handles).
-bool RunWorkload(const std::string& dir, Shadow* caqp, Shadow* mv) {
+/// never ran; the shadow stays empty, which Verify handles).
+bool RunWorkload(const std::string& dir, Shadow* caqp) {
   PersistOptions options;
   options.dir = dir;
   options.snapshot_journal_bytes = 400;  // rotate every handful of records
@@ -152,16 +152,6 @@ bool RunWorkload(const std::string& dir, Shadow* caqp, Shadow* mv) {
   step([&] { cache.Insert(PointPart(6)); });
   step([&] { cache.Insert(PointPart(7)); });  // over capacity: evictions
 
-  auto mv_step = [&](const std::function<void()>& op,
-                     const std::set<std::string>& ins,
-                     const std::set<std::string>& rem) {
-    op();
-    mv->Apply(ins, rem);
-  };
-  mv_step([&] { p->JournalMvStore("mv-a"); }, {"mv-a"}, {});
-  mv_step([&] { p->JournalMvStore("mv-b"); }, {"mv-b"}, {});
-  mv_step([&] { p->JournalMvRemove("mv-a"); }, {}, {"mv-a"});
-
   step([&] { cache.Clear(); });
   step([&] { cache.Insert(PointPart(8)); });
   // Destructor: detach, flush, close (its seams are part of the census).
@@ -195,8 +185,8 @@ TEST_F(PersistFaultTest, CrashAtEveryWriteBoundaryRecovers) {
   // Pass 1: census. Count how often each seam is crossed by the workload.
   fp.SetCounting(true);
   {
-    Shadow caqp, mv;
-    ASSERT_TRUE(RunWorkload(dir_, &caqp, &mv));
+    Shadow caqp;
+    ASSERT_TRUE(RunWorkload(dir_, &caqp));
     ASSERT_FALSE(caqp.crashed);
   }
   struct Boundary {
@@ -220,8 +210,8 @@ TEST_F(PersistFaultTest, CrashAtEveryWriteBoundaryRecovers) {
       CleanDir();
       fp.Reset();
       fp.Arm(b.name, k);
-      Shadow caqp, mv;
-      RunWorkload(dir_, &caqp, &mv);
+      Shadow caqp;
+      RunWorkload(dir_, &caqp);
       EXPECT_TRUE(fp.failed()) << "armed boundary never fired";
 
       // "Reboot": failpoints cleared, recovery must always succeed.
@@ -233,10 +223,6 @@ TEST_F(PersistFaultTest, CrashAtEveryWriteBoundaryRecovers) {
       ASSERT_TRUE(reopened.ok())
           << "recovery failed: " << reopened.status().ToString();
       caqp.Verify(SerializedSet((*reopened)->recovered().parts));
-      std::set<std::string> mv_recovered(
-          (*reopened)->recovered().mv_fingerprints.begin(),
-          (*reopened)->recovered().mv_fingerprints.end());
-      mv.Verify(mv_recovered);
 
       // The recovered state also loads into a live cache unchanged.
       CaqpCache cache(100);

@@ -9,9 +9,7 @@
 #include "core/serialize.h"
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
-#include "mv/mv_cache.h"
 #include "persist/crc32.h"
-#include "persist/durable_mv.h"
 #include "persist/failpoint.h"
 #include "persist/io.h"
 #include "persist/journal.h"
@@ -314,7 +312,6 @@ TEST_F(PersistTest, MissingFilesRecoverEmpty) {
   ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
                            Persistence::Open(options));
   EXPECT_TRUE(p->recovered().parts.empty());
-  EXPECT_TRUE(p->recovered().mv_fingerprints.empty());
   EXPECT_EQ(p->recovered().truncated_bytes, 0u);
 }
 
@@ -621,54 +618,29 @@ TEST_F(PersistTest, ReplayIsIdempotent) {
   EXPECT_EQ(twice, once);
 }
 
-TEST_F(PersistTest, MvFingerprintsSurviveRestartInLruOrder) {
+TEST_F(PersistTest, LegacyMvRecordsAreSkippedOnReplay) {
+  // Older builds journaled the MV baseline cache as record types 5-7. A
+  // file holding one must still recover every C_aqp record after it: an
+  // unknown type would read as a torn tail and truncate the rest.
   PersistOptions options;
   options.dir = dir_;
-  // Drive the MV journal through Persistence directly (DurableMv calls
-  // these from its listener callbacks; mv_cache_test covers the listener
-  // firing itself).
+  ERQ_ASSERT_OK_AND_ASSIGN(std::string first, SerializePart(PointPart(1)));
+  ERQ_ASSERT_OK_AND_ASSIGN(std::string second, SerializePart(PointPart(2)));
+  ERQ_ASSERT_OK(CreateDirIfMissing(dir_));
   {
-    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
-                             Persistence::Open(options));
-    p->JournalMvStore("fp1");
-    p->JournalMvStore("fp2");
-    p->JournalMvStore("fp3");
-    p->JournalMvRemove("fp1");  // evicted
+    JournalWriter w;
+    ERQ_ASSERT_OK(w.Open(dir_, /*truncate=*/true, options));
+    ERQ_ASSERT_OK(w.Append(RecordType::kCaqpInsert, first));
+    ERQ_ASSERT_OK(w.Append(RecordType::kMvStore, "fp1"));
+    ERQ_ASSERT_OK(w.Append(RecordType::kCaqpInsert, second));
+    ERQ_ASSERT_OK(w.Sync());
   }
-  {
-    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
-                             Persistence::Open(options));
-    std::vector<std::string> fps = p->recovered().mv_fingerprints;
-    ASSERT_EQ(fps.size(), 2u);
-    EXPECT_EQ(fps[0], "fp2");  // oldest first
-    EXPECT_EQ(fps[1], "fp3");
-    MvEmptyCache mv(10);
-    DurableMv durable(p.get(), &mv);
-    EXPECT_EQ(mv.size(), 2u);
-    std::vector<std::string> live = mv.Fingerprints();
-    ASSERT_EQ(live.size(), 2u);
-    EXPECT_EQ(live[0], "fp2");
-    EXPECT_EQ(live[1], "fp3");
-  }
-}
-
-TEST_F(PersistTest, MvClearIsDurable) {
-  PersistOptions options;
-  options.dir = dir_;
-  {
-    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
-                             Persistence::Open(options));
-    p->JournalMvStore("fp1");
-    p->JournalMvClear();
-    p->JournalMvStore("fp2");
-  }
-  {
-    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
-                             Persistence::Open(options));
-    std::vector<std::string> fps = p->recovered().mv_fingerprints;
-    ASSERT_EQ(fps.size(), 1u);
-    EXPECT_EQ(fps[0], "fp2");
-  }
+  ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
+                           Persistence::Open(options));
+  EXPECT_EQ(p->recovered().truncated_bytes, 0u);
+  EXPECT_EQ(p->recovered().journal_records, 3u);
+  EXPECT_EQ(SerializedSet(p->recovered().parts),
+            (std::set<std::string>{first, second}));
 }
 
 TEST_F(PersistTest, StickyIoErrorStopsJournalingButNotTheCache) {

@@ -137,11 +137,11 @@ const char* RecordTypeName(RecordType t) {
     case RecordType::kCaqpClear:
       return "caqp-clear";
     case RecordType::kMvStore:
-      return "mv-store";
+      return "legacy-mv-store";
     case RecordType::kMvRemove:
-      return "mv-remove";
+      return "legacy-mv-remove";
     case RecordType::kMvClear:
-      return "mv-clear";
+      return "legacy-mv-clear";
     case RecordType::kSnapshotFooter:
       return "footer";
   }
@@ -223,8 +223,7 @@ int Main(int argc, char** argv) {
       ++problems;
     } else {
       const Persistence::RecoveredState& rec = (*p)->recovered();
-      std::printf("recovery: %zu C_aqp part(s), %zu MV fingerprint(s)\n",
-                  rec.parts.size(), rec.mv_fingerprints.size());
+      std::printf("recovery: %zu C_aqp part(s)\n", rec.parts.size());
       size_t unserializable = 0;
       for (const AtomicQueryPart& part : rec.parts) {
         if (!SerializePart(part).ok()) ++unserializable;

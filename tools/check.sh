@@ -130,6 +130,27 @@ print("reuse smoke: OK (%d hits, %d rows served, %d bytes stored)"
   else
     bad "plain (cache_inspect smoke)"
   fi
+  # Gauge smoke: a second run over the same directory recovers the parts
+  # the first left on disk, and its snapshot reset (counters only) must
+  # leave them in the erq.caqp.size gauge.
+  log "plain: metrics_dump recovered erq.caqp.size smoke"
+  local parts
+  parts=$("$dir/tools/cache_inspect" "$pdir" \
+    | sed -n 's/^recovery: \([0-9]*\) C_aqp part(s)$/\1/p')
+  if [[ -n "$parts" ]] && "$dir/tools/metrics_dump" --json --queries 20 \
+        --persist-dir "$pdir" \
+      | python3 -c '
+import json, sys
+on_disk = int(sys.argv[1])
+size = json.load(sys.stdin)["gauges"]["erq.caqp.size"]
+assert on_disk > 0, "first run left no parts on disk"
+assert size >= on_disk, "erq.caqp.size %d < %d recovered parts" % (size, on_disk)
+print("caqp size smoke: OK (%d live parts, %d recovered)" % (size, on_disk))
+' "$parts"; then
+    ok "plain (recovered caqp size smoke)"
+  else
+    bad "plain (recovered caqp size smoke)"
+  fi
   rm -rf "$pdir"
 }
 

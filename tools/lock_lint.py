@@ -206,7 +206,9 @@ RANGE_FOR_RE = re.compile(
     r"\bfor\s*\(\s*(?:const\s+)?([\w:<>,*&\s]+?)[&*\s]+(\w+)\s*:")
 MEMBER_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+|static\s+|const\s+|constexpr\s+|inline\s+)*"
-    r"([A-Za-z_][\w:]*(?:\s*<.*>)?(?:\s*[*&]+|\s+))\s*(\w+)\s*(\{.*\}|=.*)?\s*$")
+    r"([A-Za-z_][\w:]*(?:\s*<.*>)?(?:\s*[*&]+(?:\s*const\b)?|\s+))\s*(\w+)\s*(\{.*\}|=.*)?\s*$")
+
+ACCESS_SPEC_RE = re.compile(r"^\s*(?:(?:public|private|protected)\s*:\s*)+")
 
 CALL_KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "alignof",
@@ -471,6 +473,7 @@ class FileScanner:
                     flags["virtual"] = True
                     self.model.virtual_index[name].add((cls, name))
             return
+        stripped = ACCESS_SPEC_RE.sub("", stripped)
         mm = MEMBER_DECL_RE.match(stripped)
         if mm:
             info.members[mm.group(2)] = mm.group(1)
@@ -660,7 +663,7 @@ class Analyzer:
                 targets |= model.virtual_index.get(name, set())
         elif receiver is not None and not receiver and not explicit_cls:
             pass
-        # Static-accessor chains (`CaqpMetrics::Get().x->f()`) resolve via
+        # Static-accessor chains (`PersistMetrics::Get().x->f()`) resolve via
         # the explicit class; anything still unresolved is skipped — the
         # mutexes it could touch are all reachable through resolved names.
         return {t for t in targets if t in model.functions

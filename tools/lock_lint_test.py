@@ -70,6 +70,16 @@ CASES = [
         ],
         "stderr_contains": ["lock_lint: 1 error(s)"],
     },
+    {
+        "name": "scoped_registry",
+        "exit": 1,
+        "stdout": [
+            "src/registry.cc:16: error: self-deadlock: 'Registry::mu_' is "
+            "acquired while already held in Registry::GetNested via "
+            "Registry::Get acquires it at src/registry.cc:8",
+        ],
+        "stderr_contains": ["lock_lint: 1 error(s)"],
+    },
 ]
 
 
