@@ -1,7 +1,7 @@
 // Multithreaded C_aqp throughput benchmarks (google-benchmark threaded
 // mode): lookups/sec at 1/2/4/8 threads for hit-heavy, miss-heavy, and
-// mixed insert+lookup workloads at several N_max, batched lookups, and a
-// 99/1 read-mostly mix, so the epoch-guarded read path stays measurable.
+// mixed insert+lookup workloads at several N_max, and a 99/1 read-mostly
+// mix, so the epoch-guarded read path stays measurable.
 //
 // The stored population spreads N parts over N/4 distinct relation names
 // (4 point conditions per relation), the shape where entry enumeration —
@@ -38,7 +38,6 @@ namespace {
 
 constexpr size_t kPartsPerRelation = 4;
 constexpr size_t kPoolSize = 8192;
-constexpr size_t kBatchSize = 16;
 
 AtomicQueryPart Point(const std::string& rel, int64_t x) {
   return AtomicQueryPart(
@@ -137,29 +136,6 @@ void RunLookups(benchmark::State& state, bool hit) {
 void BM_LookupHit(benchmark::State& state) { RunLookups(state, true); }
 void BM_LookupMiss(benchmark::State& state) { RunLookups(state, false); }
 
-// Batched lookup: kBatchSize probes per CoveredByBatch call — one epoch
-// enter/exit and one counter flush amortized over the whole batch.
-// items_processed counts probes, so ns/item is directly comparable to
-// BM_LookupHit.
-void BM_BatchLookupHit(benchmark::State& state) {
-  Workload& w = GetWorkload(static_cast<size_t>(state.range(0)),
-                            Kind::kLookup);
-  ProbeSlice slice = SliceFor(w.hit_probes, state);
-  std::mt19937_64 rng(7919 * (state.thread_index() + 1));
-  std::vector<const AtomicQueryPart*> batch(kBatchSize);
-  for (auto _ : state) {
-    for (size_t i = 0; i < kBatchSize; ++i) {
-      batch[i] = &slice.Draw(rng);
-    }
-    std::vector<uint8_t> verdicts = w.cache->CoveredByBatch(batch);
-    for (uint8_t v : verdicts) {
-      if (!v) state.SkipWithError("unexpected batch lookup outcome");
-    }
-    benchmark::DoNotOptimize(verdicts.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatchSize);
-}
-
 // 1 insert per 16 lookups at capacity: writers take the writer mutex,
 // drive eviction + entry GC, and mix with the epoch-guarded probe stream.
 void BM_MixedInsertLookup(benchmark::State& state) {
@@ -216,13 +192,6 @@ BENCHMARK(BM_LookupMiss)
     ->Arg(1024)
     ->Arg(4096)
     ->Arg(16384)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-BENCHMARK(BM_BatchLookupHit)
-    ->Arg(4096)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -303,6 +303,9 @@ class JsonParser {
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') return Error("malformed number");
+    // strtod turns an overflowing literal such as 1e999 into inf; JSON has
+    // no non-finite numbers, and callers cast numbers to integers.
+    if (!std::isfinite(v)) return Error("number out of range");
     out->kind_ = JsonValue::Kind::kNumber;
     out->number_ = v;
     return Status::OK();

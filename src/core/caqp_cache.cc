@@ -103,17 +103,6 @@ bool CaqpCache::FindCovering(const Index& index, const AtomicQueryPart& aqp,
   return false;
 }
 
-void CaqpCache::FlushLookups(uint64_t n, uint64_t hits,
-                             const LookupWork& work) {
-  metrics_.lookups->Increment(n);
-  metrics_.postings_scanned->Increment(work.postings);
-  metrics_.candidate_entries->Increment(work.candidates);
-  metrics_.signature_rejects->Increment(work.signature_rejects);
-  metrics_.conditions_scanned->Increment(work.conditions);
-  metrics_.hits->Increment(hits);
-  metrics_.misses->Increment(n - hits);
-}
-
 bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
   RelationSignature query_sig = RelationSignature::Of(aqp.relations());
   LookupWork work;
@@ -122,36 +111,15 @@ bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
     EpochReadGuard guard(&epoch_);
     hit = FindCovering(*published_.load(kAcquire), aqp, query_sig, &work);
   }
-  // Flushed after the epoch section, which stays as short as the search:
+  // Counted after the epoch section, which stays as short as the search:
   // a pinned epoch holds back reclamation for every writer.
-  FlushLookups(1, hit ? 1 : 0, work);
+  metrics_.lookups->Increment();
+  metrics_.postings_scanned->Increment(work.postings);
+  metrics_.candidate_entries->Increment(work.candidates);
+  metrics_.signature_rejects->Increment(work.signature_rejects);
+  metrics_.conditions_scanned->Increment(work.conditions);
+  (hit ? metrics_.hits : metrics_.misses)->Increment();
   return hit;
-}
-
-std::vector<uint8_t> CaqpCache::CoveredByBatch(
-    const std::vector<const AtomicQueryPart*>& aqps) {
-  std::vector<uint8_t> out(aqps.size(), 0);
-  if (aqps.empty()) return out;
-  std::vector<RelationSignature> sigs;
-  sigs.reserve(aqps.size());
-  for (const AtomicQueryPart* aqp : aqps) {
-    sigs.push_back(RelationSignature::Of(aqp->relations()));
-  }
-  LookupWork work;
-  uint64_t hits = 0;
-  {
-    // One epoch critical section and one snapshot for the whole batch.
-    EpochReadGuard guard(&epoch_);
-    const Index& index = *published_.load(kAcquire);
-    for (size_t i = 0; i < aqps.size(); ++i) {
-      if (FindCovering(index, *aqps[i], sigs[i], &work)) {
-        out[i] = 1;
-        ++hits;
-      }
-    }
-  }
-  FlushLookups(aqps.size(), hits, work);
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ namespace erq {
 /// probe C_aqp for every high-cost query while inserts/invalidations are
 /// comparatively rare — so the two sides are synchronized differently:
 ///
-///   * Lookups (`CoveredBy`, `CoveredByBatch`, `Snapshot`) take NO lock at
-///     all. The cache publishes an immutable index snapshot behind an
-///     atomic pointer; a reader enters an epoch (common/epoch.h), walks the
-///     published snapshot, and exits. Writers retire replaced snapshots
+///   * Lookups (`CoveredBy`, `Snapshot`) take NO lock at all. The cache
+///     publishes an immutable index snapshot behind an atomic pointer; a
+///     reader enters an epoch (common/epoch.h), walks the published
+///     snapshot, and exits. Writers retire replaced snapshots
 ///     through the epoch domain, so readers never touch freed memory and
 ///     concurrent lookups never serialize on anything but their own
 ///     cache-line-striped epoch counters. The bookkeeping a lookup does
@@ -90,7 +90,7 @@ class CaqpCache {
   /// Value-type read view of the cache's metrics scope plus index gauges
   /// (see stats_snapshot()).
   struct CacheStats {
-    uint64_t lookups = 0;          ///< CoveredBy calls (batch: one per part)
+    uint64_t lookups = 0;          ///< CoveredBy calls
     uint64_t hits = 0;             ///< CoveredBy returned true
     uint64_t conditions_scanned = 0;  ///< cover tests performed
     uint64_t insert_attempts = 0;  ///< Insert calls
@@ -130,16 +130,6 @@ class CaqpCache {
   /// over the published snapshot, so any number of sessions probe
   /// concurrently without serializing.
   bool CoveredBy(const AtomicQueryPart& aqp);
-
-  /// Batched CoveredBy: answers every probe in `aqps` inside a single
-  /// epoch critical section against one published snapshot, flushing
-  /// statistics once, so the per-probe overhead amortizes across the
-  /// batch. Element i of the result is nonzero iff CoveredBy(*aqps[i])
-  /// would return true; covering parts get their reference bit set exactly
-  /// as in CoveredBy, and every probe counts as one lookup in the
-  /// statistics.
-  std::vector<uint8_t> CoveredByBatch(
-      const std::vector<const AtomicQueryPart*>& aqps);
 
   /// Stores `aqp` (harvested from an empty-result query part), enforcing
   /// the redundancy and capacity rules above under the writer mutex.
@@ -295,9 +285,6 @@ class CaqpCache {
   bool EntryCovers(const PublishedEntry& entry, const AtomicQueryPart& aqp,
                    const RelationSignature& query_sig,
                    LookupWork* work) const;
-  /// Adds `n` lookups (`hits` of them hits) and their work tally to the
-  /// counters, one relaxed add each.
-  void FlushLookups(uint64_t n, uint64_t hits, const LookupWork& work);
 
   // ---- writer path ------------------------------------------------------
 

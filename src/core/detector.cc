@@ -69,130 +69,6 @@ CheckResult EmptyResultDetector::CheckEmpty(const LogicalOpPtr& root) {
   return result;
 }
 
-std::vector<CheckResult> EmptyResultDetector::CheckEmptyBatch(
-    const std::vector<LogicalOpPtr>& roots) {
-  std::vector<BatchLeaf> leaves;
-  std::vector<const AtomicQueryPart*> probes;
-  for (const LogicalOpPtr& root : roots) {
-    CollectLeaves(root, &leaves, &probes);
-  }
-  std::vector<uint8_t> covered = cache_.CoveredByBatch(probes);
-  std::vector<CheckResult> out;
-  out.reserve(roots.size());
-  size_t next_leaf = 0;
-  const DetectorMetrics& metrics = DetectorMetrics::Get();
-  for (const LogicalOpPtr& root : roots) {
-    CheckResult result = EvaluateBatch(root, leaves, &next_leaf, covered);
-    metrics.checks->Increment();
-    metrics.parts_checked->Increment(result.parts_checked);
-    if (result.provably_empty) metrics.provably_empty->Increment();
-    out.push_back(result);
-  }
-  return out;
-}
-
-void EmptyResultDetector::CollectLeaves(
-    const LogicalOpPtr& root, std::vector<BatchLeaf>* leaves,
-    std::vector<const AtomicQueryPart*>* probes) {
-  if (root == nullptr) return;
-  switch (root->kind) {
-    case LogicalOpKind::kProject:
-    case LogicalOpKind::kSort:
-    case LogicalOpKind::kDistinct:
-      CollectLeaves(root->children[0], leaves, probes);
-      return;
-    case LogicalOpKind::kAggregate:
-      // Scalar aggregates are never empty: EvaluateBatch returns without
-      // descending, so nothing below them may be collected either.
-      if (root->group_by.empty()) return;
-      CollectLeaves(root->children[0], leaves, probes);
-      return;
-    case LogicalOpKind::kUnion:
-      // Unlike CheckEmptyImpl there is no short-circuit on the left
-      // branch: both sides' parts join the batch probe.
-      CollectLeaves(root->children[0], leaves, probes);
-      CollectLeaves(root->children[1], leaves, probes);
-      return;
-    case LogicalOpKind::kExcept:
-    case LogicalOpKind::kOuterJoin:
-      // Only the left input decides emptiness (§2.5 cases (4) and (3)).
-      CollectLeaves(root->children[0], leaves, probes);
-      return;
-    case LogicalOpKind::kScan:
-    case LogicalOpKind::kFilter:
-    case LogicalOpKind::kJoin:
-    case LogicalOpKind::kSemiJoin: {
-      BatchLeaf leaf;
-      auto simplified = SimplifyLogicalPart(root);
-      if (simplified.ok()) {
-        auto parts = DecomposeSimplifiedPart(*simplified, config_.dnf);
-        if (parts.ok()) {
-          leaf.decomposed = true;
-          leaf.parts = std::move(*parts);
-        }
-      }
-      leaves->push_back(std::move(leaf));
-      // Pointers are taken after the leaf reaches its final home: moving
-      // the vector's heap buffer on growth does not move part storage.
-      BatchLeaf& placed = leaves->back();
-      placed.probe_index.reserve(placed.parts.size());
-      for (const AtomicQueryPart& part : placed.parts) {
-        if (part.ProvablyUnsatisfiable()) {
-          placed.probe_index.push_back(BatchLeaf::kNotProbed);
-        } else {
-          placed.probe_index.push_back(probes->size());
-          probes->push_back(&part);
-        }
-      }
-      return;
-    }
-  }
-}
-
-CheckResult EmptyResultDetector::EvaluateBatch(
-    const LogicalOpPtr& root, const std::vector<BatchLeaf>& leaves,
-    size_t* next_leaf, const std::vector<uint8_t>& covered) {
-  CheckResult result;
-  if (root == nullptr) return result;
-  switch (root->kind) {
-    case LogicalOpKind::kProject:
-    case LogicalOpKind::kSort:
-    case LogicalOpKind::kDistinct:
-      return EvaluateBatch(root->children[0], leaves, next_leaf, covered);
-    case LogicalOpKind::kAggregate:
-      if (root->group_by.empty()) return result;
-      return EvaluateBatch(root->children[0], leaves, next_leaf, covered);
-    case LogicalOpKind::kUnion: {
-      CheckResult left =
-          EvaluateBatch(root->children[0], leaves, next_leaf, covered);
-      CheckResult right =
-          EvaluateBatch(root->children[1], leaves, next_leaf, covered);
-      result.parts_checked = left.parts_checked + right.parts_checked;
-      result.provably_empty = left.provably_empty && right.provably_empty;
-      return result;
-    }
-    case LogicalOpKind::kExcept:
-    case LogicalOpKind::kOuterJoin:
-      return EvaluateBatch(root->children[0], leaves, next_leaf, covered);
-    case LogicalOpKind::kScan:
-    case LogicalOpKind::kFilter:
-    case LogicalOpKind::kJoin:
-    case LogicalOpKind::kSemiJoin: {
-      const BatchLeaf& leaf = leaves[(*next_leaf)++];
-      result.parts_checked = leaf.parts.size();
-      if (!leaf.decomposed) return result;
-      for (size_t i = 0; i < leaf.parts.size(); ++i) {
-        size_t probe = leaf.probe_index[i];
-        if (probe == BatchLeaf::kNotProbed) continue;  // unsat: empty part
-        if (!covered[probe]) return result;
-      }
-      result.provably_empty = true;
-      return result;
-    }
-  }
-  return result;
-}
-
 CheckResult EmptyResultDetector::CheckEmptyImpl(const LogicalOpPtr& root) {
   CheckResult result;
   if (root == nullptr) return result;

@@ -46,16 +46,6 @@ class EmptyResultDetector {
   /// condition). Unsupported structures simply yield "not provably empty".
   CheckResult CheckEmpty(const LogicalOpPtr& root);
 
-  /// Checks many plans at once: the atomic query parts of every root are
-  /// gathered first, probed against C_aqp in one batched lookup (a single
-  /// epoch critical section over one published snapshot),
-  /// then per-root verdicts are assembled. Results match CheckEmpty on
-  /// each root, with one deliberate difference: `parts_checked` counts
-  /// every decomposed part, because the batch probes all parts up front
-  /// instead of stopping at a root's first miss.
-  std::vector<CheckResult> CheckEmptyBatch(
-      const std::vector<LogicalOpPtr>& roots);
-
   /// Harvests an executed physical plan whose result was empty: finds the
   /// lowest-level empty parts and stores their atomic query parts.
   /// Returns the number of atomic query parts inserted.
@@ -124,31 +114,6 @@ class EmptyResultDetector {
   /// Recursive body of CheckEmpty; the public wrapper adds metrics so
   /// sub-checks (recursion, PrunePlan probes) don't inflate the counters.
   CheckResult CheckEmptyImpl(const LogicalOpPtr& root);
-
-  /// One SPJ leaf of a batched check. `probe_index` maps each decomposed
-  /// part to its slot in the batch probe vector; unsatisfiable parts are
-  /// never probed (kNotProbed) and count as covered.
-  struct BatchLeaf {
-    static constexpr size_t kNotProbed = static_cast<size_t>(-1);
-    bool decomposed = false;
-    std::vector<AtomicQueryPart> parts;
-    std::vector<size_t> probe_index;
-  };
-
-  /// Pass 1 of CheckEmptyBatch: mirrors CheckEmptyImpl's traversal (same
-  /// branches contribute to the verdict) but without short-circuiting, so
-  /// every part that *could* be probed is gathered. Appends one BatchLeaf
-  /// per SPJ subtree in deterministic traversal order and pointers to the
-  /// probe-worthy parts into `probes`.
-  void CollectLeaves(const LogicalOpPtr& root, std::vector<BatchLeaf>* leaves,
-                     std::vector<const AtomicQueryPart*>* probes);
-
-  /// Pass 2: re-traverses `root` in the same order, consuming leaves at
-  /// `*next_leaf` and reading per-probe verdicts from `covered`.
-  CheckResult EvaluateBatch(const LogicalOpPtr& root,
-                            const std::vector<BatchLeaf>& leaves,
-                            size_t* next_leaf,
-                            const std::vector<uint8_t>& covered);
 
   const EmptyResultConfig config_;  // immutable: safe to read unlocked
   CaqpCache cache_;                 // internally synchronized

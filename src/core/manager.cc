@@ -242,6 +242,21 @@ StatusOr<QueryOutcome> EmptyResultManager::Execute(
   return outcome;
 }
 
+std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
+    const QueryRequest& request) {
+  std::vector<StatusOr<QueryOutcome>> out;
+  if (request.statement != nullptr || !request.sql.empty()) {
+    out.emplace_back(Status::InvalidArgument(
+        "ExecuteBatch takes a batch request; use Execute for sql/statement"));
+    return out;
+  }
+  out.reserve(request.batch.size());
+  for (const std::string& sql : request.batch) {
+    out.push_back(Execute(QueryRequest::Sql(sql)));
+  }
+  return out;
+}
+
 StatusOr<PhysOpPtr> EmptyResultManager::Prepare(const std::string& sql) {
   ERQ_RETURN_IF_ERROR(init_status_);
   ERQ_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, Parser::Parse(sql));
@@ -249,184 +264,68 @@ StatusOr<PhysOpPtr> EmptyResultManager::Prepare(const std::string& sql) {
   return optimizer_.Optimize(planned.root);
 }
 
-Status EmptyResultManager::PrepareInto(const Statement& stmt,
-                                       PreparedStatement* prep) {
+StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
+    const Statement& stmt) {
+  Timer total_timer;
   metrics_.queries->Increment();
-  QueryOutcome& outcome = prep->outcome;
+  QueryOutcome outcome;
+  PlannedQuery planned;
+  PhysOpPtr physical;
   {
     ScopedSpan span(metrics_.stage_plan, &outcome.timings.plan_seconds);
-    ERQ_ASSIGN_OR_RETURN(prep->planned, planner_.PlanStatement(stmt));
+    ERQ_ASSIGN_OR_RETURN(planned, planner_.PlanStatement(stmt));
   }
   {
     ScopedSpan span(metrics_.stage_optimize,
                     &outcome.timings.optimize_seconds);
-    ERQ_ASSIGN_OR_RETURN(prep->physical, optimizer_.Optimize(prep->planned.root));
+    ERQ_ASSIGN_OR_RETURN(physical, optimizer_.Optimize(planned.root));
   }
-  outcome.estimated_cost = prep->physical->estimated_cost;
+  outcome.estimated_cost = physical->estimated_cost;
   {
     ScopedSpan span(metrics_.stage_gate, &outcome.timings.gate_seconds);
     outcome.high_cost = outcome.estimated_cost > EffectiveCostThreshold();
   }
   if (!outcome.high_cost) metrics_.low_cost->Increment();
-  return Status::OK();
-}
-
-StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
-    const Statement& stmt) {
-  ERQ_RETURN_IF_ERROR(init_status_);
-  PreparedStatement prep;
-  ERQ_RETURN_IF_ERROR(PrepareInto(stmt, &prep));
 
   // §2.2: only high-cost queries are worth checking against C_aqp.
-  std::optional<CheckResult> check;
-  if (config_.detection_enabled && prep.outcome.high_cost) {
+  if (config_.detection_enabled && outcome.high_cost) {
+    CheckResult check;
     {
-      ScopedSpan span(metrics_.stage_check,
-                      &prep.outcome.timings.check_seconds);
-      check = detector_.CheckEmpty(prep.planned.root);
+      ScopedSpan span(metrics_.stage_check, &outcome.timings.check_seconds);
+      check = detector_.CheckEmpty(planned.root);
     }
     metrics_.checks->Increment();
-  }
-  return FinishChecked(std::move(prep), std::move(check));
-}
-
-std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
-    const QueryRequest& request) {
-  const std::vector<std::string>& sqls = request.batch;
-  std::vector<StatusOr<QueryOutcome>> out;
-  out.reserve(sqls.size());
-  if (request.statement != nullptr || !request.sql.empty()) {
-    out.emplace_back(Status::InvalidArgument(
-        "ExecuteBatch takes a batch request; use Execute for sql/statement"));
-    return out;
-  }
-  if (!init_status_.ok()) {
-    for (size_t i = 0; i < sqls.size(); ++i) out.emplace_back(init_status_);
-    return out;
-  }
-
-  // Phase 1: parse + prepare every statement. Failures settle their slot
-  // immediately; survivors queue for the batched check.
-  struct Pending {
-    size_t index;  // slot in `results`
-    PreparedStatement prep;
-    double parse_seconds = 0.0;
-  };
-  std::vector<std::optional<StatusOr<QueryOutcome>>> results(sqls.size());
-  std::vector<Pending> pending;
-  pending.reserve(sqls.size());
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    Pending p;
-    p.index = i;
-    std::unique_ptr<Statement> stmt;
-    {
-      ScopedSpan span(metrics_.stage_parse, &p.parse_seconds);
-      StatusOr<std::unique_ptr<Statement>> parsed = Parser::Parse(sqls[i]);
-      if (!parsed.ok()) {
-        results[i] = parsed.status();
-        continue;
+    if (check.provably_empty) {
+      outcome.detected_empty = true;
+      outcome.result_empty = true;
+      outcome.result.layout = physical->layout;
+      outcome.plan = physical;
+      EmptyResultExplanation explanation;
+      explanation.annotated_plan = physical->ToString();
+      char cause[128];
+      std::snprintf(cause, sizeof(cause),
+                    "proven empty from C_aqp without execution (%zu atomic "
+                    "query part(s) checked)",
+                    check.parts_checked);
+      explanation.minimal_causes.push_back(cause);
+      outcome.explanation = std::move(explanation);
+      metrics_.detected_empty->Increment();
+      {
+        MutexLock lock(&mu_);
+        cost_gate_.ObserveDetected(outcome.estimated_cost,
+                                   outcome.timings.check_seconds);
       }
-      stmt = std::move(parsed).value();
+      outcome.timings.total_seconds = total_timer.Seconds();
+      metrics_.query_total->Observe(outcome.timings.total_seconds);
+      return outcome;
     }
-    Status prepared = PrepareInto(*stmt, &p.prep);
-    if (!prepared.ok()) {
-      results[i] = std::move(prepared);
-      continue;
-    }
-    pending.push_back(std::move(p));
-  }
 
-  // Phase 2: one batched C_aqp probe over every high-cost candidate.
-  std::vector<LogicalOpPtr> roots;
-  std::vector<size_t> checked;  // indices into `pending`
-  for (size_t k = 0; k < pending.size(); ++k) {
-    if (config_.detection_enabled && pending[k].prep.outcome.high_cost) {
-      roots.push_back(pending[k].prep.planned.root);
-      checked.push_back(k);
-    }
-  }
-  std::vector<std::optional<CheckResult>> verdicts(pending.size());
-  if (!roots.empty()) {
-    double batch_check_seconds = 0.0;
-    std::vector<CheckResult> batch;
-    {
-      ScopedSpan span(metrics_.stage_check, &batch_check_seconds);
-      batch = detector_.CheckEmptyBatch(roots);
-    }
-    // The probe ran once for everyone: attribute its cost in proportion
-    // to the atomic parts each query contributed (parts_checked), since
-    // probe work scales with parts examined, not with query count. A
-    // zero-part batch (every query settled before any part was probed)
-    // falls back to an even split.
-    size_t total_parts = 0;
-    for (const CheckResult& r : batch) total_parts += r.parts_checked;
-    for (size_t j = 0; j < checked.size(); ++j) {
-      const double share =
-          total_parts > 0
-              ? batch_check_seconds *
-                    (static_cast<double>(batch[j].parts_checked) /
-                     static_cast<double>(total_parts))
-              : batch_check_seconds / static_cast<double>(checked.size());
-      verdicts[checked[j]] = batch[j];
-      pending[checked[j]].prep.outcome.timings.check_seconds = share;
-    }
-    metrics_.checks->Increment(checked.size());
-  }
-
-  // Phase 3: finish each query independently, in input order.
-  for (Pending& p : pending) {
-    StatusOr<QueryOutcome> finished =
-        FinishChecked(std::move(p.prep), verdicts[&p - pending.data()]);
-    if (finished.ok()) {
-      finished->timings.parse_seconds = p.parse_seconds;
-      finished->timings.total_seconds += p.parse_seconds;
-    }
-    results[p.index] = std::move(finished);
-  }
-  for (std::optional<StatusOr<QueryOutcome>>& r : results) {
-    out.push_back(*std::move(r));
-  }
-  return out;
-}
-
-StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
-    PreparedStatement prep, std::optional<CheckResult> check) {
-  QueryOutcome outcome = std::move(prep.outcome);
-  PhysOpPtr physical = std::move(prep.physical);
-  Timer& total_timer = prep.total_timer;
-
-  if (check.has_value() && check->provably_empty) {
-    outcome.detected_empty = true;
-    outcome.result_empty = true;
-    outcome.result.layout = physical->layout;
-    outcome.plan = physical;
-    EmptyResultExplanation explanation;
-    explanation.annotated_plan = physical->ToString();
-    char cause[128];
-    std::snprintf(cause, sizeof(cause),
-                  "proven empty from C_aqp without execution (%zu atomic "
-                  "query part(s) checked)",
-                  check->parts_checked);
-    explanation.minimal_causes.push_back(cause);
-    outcome.explanation = std::move(explanation);
-    metrics_.detected_empty->Increment();
-    {
-      MutexLock lock(&mu_);
-      cost_gate_.ObserveDetected(outcome.estimated_cost,
-                                 outcome.timings.check_seconds);
-    }
-    outcome.timings.total_seconds = total_timer.Seconds();
-    metrics_.query_total->Observe(outcome.timings.total_seconds);
-    return outcome;
-  }
-
-  if (config_.detection_enabled && outcome.high_cost) {
     // §2.5 partial detection: branches of set operations that are provably
     // empty need not be evaluated.
     LogicalOpPtr pruned;
     {
       ScopedSpan span(metrics_.stage_check, &outcome.timings.check_seconds);
-      pruned = detector_.PrunePlan(prep.planned.root, &outcome.branches_pruned);
+      pruned = detector_.PrunePlan(planned.root, &outcome.branches_pruned);
     }
     if (outcome.branches_pruned > 0) {
       metrics_.branches_pruned->Increment(outcome.branches_pruned);

@@ -44,14 +44,7 @@ struct QueryOutcome {
     double optimize_seconds = 0.0;  ///< logical -> physical (incl. re-opt
                                     ///< after §2.5 pruning)
     double gate_seconds = 0.0;      ///< C_cost threshold evaluation
-    /// Decompose + C_aqp search + pruning. In a batched submission the
-    /// probe runs once for the whole batch, so per-query attribution is
-    /// an estimate: each checked query receives a share of the batch
-    /// check time proportional to its parts_checked (probe work is
-    /// linear in the number of decomposed parts — the combination
-    /// factor F). Only when no query in the batch decomposed any parts
-    /// is the time split evenly.
-    double check_seconds = 0.0;
+    double check_seconds = 0.0;     ///< decompose + C_aqp search + pruning
     double execute_seconds = 0.0;   ///< plan execution
     double record_seconds = 0.0;    ///< Operation O2 harvest + store
     double total_seconds = 0.0;     ///< whole call, wall clock
@@ -173,18 +166,12 @@ class EmptyResultManager {
   /// the outcome is turned into a QueryResponse.
   ERQ_NODISCARD StatusOr<QueryOutcome> Execute(const QueryRequest& request);
 
-  /// Primary entry point for a batch request, returned in input order
-  /// (one StatusOr per query: a parse/plan error in one statement does
-  /// not fail the rest — every item carries the same structured Status
-  /// codes the single path produces). Each query is parsed and prepared
-  /// individually; then every high-cost candidate is checked against
-  /// C_aqp in a single batched lookup
-  /// (EmptyResultDetector::CheckEmptyBatch — one epoch critical section
-  /// over one published snapshot); then each query finishes exactly like
-  /// the single path. Per-query `check_seconds` attributes the batch
-  /// check time in proportion to each query's parts_checked (see
-  /// QueryOutcome::Timings). An empty `request.batch` yields an empty
-  /// vector.
+  /// Primary entry point for a batch request: runs each statement of
+  /// `request.batch` through Execute, in order, and returns one StatusOr
+  /// per statement (an error in one statement does not fail the rest).
+  /// The results are exactly those of submitting the statements one by
+  /// one, so a later item is checked against everything an earlier item
+  /// recorded. An empty `request.batch` yields an empty vector.
   std::vector<StatusOr<QueryOutcome>> ExecuteBatch(
       const QueryRequest& request);
 
@@ -255,31 +242,10 @@ class EmptyResultManager {
   };
   static Instruments ResolveInstruments(MetricsRegistry& scope);
 
-  /// One statement mid-pipeline: planned, optimized, and cost-gated, but
-  /// not yet checked or executed. `total_timer` starts at construction so
-  /// `outcome.timings.total_seconds` covers the whole per-query span even
-  /// when the check happens in a batch.
-  struct PreparedStatement {
-    PlannedQuery planned;
-    PhysOpPtr physical;
-    QueryOutcome outcome;
-    Timer total_timer;
-  };
-
-  /// Full workflow for one already-parsed statement (the single-query
-  /// pipeline behind Execute's sql and statement forms).
+  /// Full workflow for one already-parsed statement (the pipeline behind
+  /// Execute's sql and statement forms): plan -> optimize -> cost gate ->
+  /// check -> prune -> execute -> explain -> harvest.
   StatusOr<QueryOutcome> ExecuteStatement(const Statement& stmt);
-
-  /// plan -> optimize -> cost gate (the pipeline prefix shared by
-  /// ExecuteStatement and ExecuteBatch). Counts the query and fills
-  /// `prep->outcome`'s cost/gate fields and stage timings.
-  Status PrepareInto(const Statement& stmt, PreparedStatement* prep);
-
-  /// The pipeline suffix: consume a detection verdict (nullopt when the
-  /// query never reached the check — low-cost or detection disabled),
-  /// then prune/re-optimize, execute, explain, and harvest.
-  StatusOr<QueryOutcome> FinishChecked(PreparedStatement prep,
-                                       std::optional<CheckResult> check);
 
   /// Offers each executed-run intermediate to the reuse store: decompose
   /// the Filter-over-TableScan subtree into the atomic-part normal form,

@@ -33,7 +33,7 @@ enum class ExplainVerbosity {
 /// One query submission, as a plain value. Exactly one input form must be
 /// set: `sql` (a single SQL string), `statement` (a pre-parsed statement,
 /// borrowed — the caller keeps it alive for the duration of the call), or
-/// `batch` (several SQL strings sharing one batched C_aqp probe).
+/// `batch` (several SQL strings, each run as if submitted on its own).
 struct QueryRequest {
   /// Default row_limit: enough for interactive use, small enough that a
   /// wire response stays bounded no matter what the query returns.
@@ -43,7 +43,7 @@ struct QueryRequest {
   std::string sql;
   /// Pre-parsed alternative to `sql`; borrowed, may be nullptr.
   const Statement* statement = nullptr;
-  /// Batch mode: several SQL strings checked in one batched C_aqp lookup.
+  /// Batch mode: several SQL strings, run in order.
   std::vector<std::string> batch;
   /// Tenant namespace the server routes this request to ("" = the default
   /// tenant). The in-process manager ignores it — isolation happens one
@@ -64,8 +64,12 @@ struct QueryRequest {
   static QueryRequest Batch(std::vector<std::string> sqls);
 
   /// Rejects requests with zero or multiple input forms set, and explain
-  /// values outside the enum. Execute/ExecuteBatch call this and surface
-  /// the Status, so a malformed request fails loudly.
+  /// values outside the enum. Execute/ExecuteBatch do not call this: they
+  /// check only the input forms they route on. Execute rejects a request
+  /// carrying a batch or both sql and statement (a request with no form
+  /// reaches the parser and fails with its ParseError); ExecuteBatch
+  /// rejects a request carrying sql or statement. Neither looks at the
+  /// wire fields (tenant, row_limit, explain).
   ERQ_NODISCARD Status Validate() const;
 };
 

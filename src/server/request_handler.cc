@@ -1,5 +1,7 @@
 #include "server/request_handler.h"
 
+#include <cmath>
+
 #include "common/json.h"
 #include "core/query_api.h"
 #include "reuse/reuse_store.h"
@@ -50,11 +52,15 @@ StatusOr<QueryRequest> ParseQueryBody(const std::string& body) {
     request.tenant = tenant->AsString();
   }
   if (const JsonValue* limit = doc.Find("row_limit"); limit != nullptr) {
-    if (!limit->is_number() || limit->AsDouble() < 0) {
+    // Range-checked as a double before the cast: converting an
+    // out-of-range double to an integer is undefined behaviour.
+    constexpr double kMaxRowLimit = 9007199254740992.0;  // 2^53
+    const double v = limit->is_number() ? limit->AsDouble() : -1.0;
+    if (!(v >= 0.0 && v <= kMaxRowLimit) || v != std::floor(v)) {
       return Status::InvalidArgument(
-          "\"row_limit\" must be a non-negative number");
+          "\"row_limit\" must be a whole number in [0, 2^53]");
     }
-    request.row_limit = static_cast<size_t>(limit->AsInt64());
+    request.row_limit = static_cast<size_t>(v);
   }
   if (const JsonValue* explain = doc.Find("explain"); explain != nullptr) {
     if (!explain->is_string()) {

@@ -332,47 +332,6 @@ TEST(CaqpCacheTest, MultiRelationEntriesFoundThroughAnyProbeName) {
   EXPECT_TRUE(cache.CoveredBy(wider));
 }
 
-TEST(CaqpCacheTest, BatchLookupMatchesSingleLookups) {
-  CaqpCache cache(100);
-  for (int64_t i = 0; i < 10; ++i) {
-    cache.Insert(Point(("t" + std::to_string(i)).c_str(), "x", i));
-  }
-  std::vector<AtomicQueryPart> probes;
-  for (int64_t i = 0; i < 20; ++i) {
-    // Even probes hit (stored value), odd probes miss (novel value).
-    probes.push_back(Point(("t" + std::to_string(i % 10)).c_str(), "x",
-                           i % 2 == 0 ? i / 2 : i + 50));
-  }
-  std::vector<const AtomicQueryPart*> ptrs;
-  for (const AtomicQueryPart& p : probes) ptrs.push_back(&p);
-  std::vector<uint8_t> batch = cache.CoveredByBatch(ptrs);
-  ASSERT_EQ(batch.size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(batch[i] != 0, cache.CoveredBy(probes[i])) << "probe " << i;
-  }
-  // The batch counted each probe as one lookup.
-  EXPECT_EQ(cache.stats_snapshot().lookups, 2 * probes.size());
-}
-
-TEST(CaqpCacheTest, BatchLookupEmptyAndMarksRecency) {
-  CaqpCache cache(4);
-  EXPECT_TRUE(cache.CoveredByBatch({}).empty());
-  for (int64_t i = 0; i < 4; ++i) cache.Insert(Point("t", "x", i));
-  // As in ClockKeepsRecentlyHitParts, but part 2 is touched only through
-  // the batch path. Without the reference bit that lookup sets, the clock
-  // hand would take part 2 on the third forced eviction.
-  AtomicQueryPart hot = Point("t", "x", 2);
-  std::vector<const AtomicQueryPart*> ptrs{&hot};
-  for (int64_t i = 0; i < 8; ++i) {
-    ASSERT_EQ(cache.CoveredByBatch(ptrs), std::vector<uint8_t>{1})
-        << "round " << i;
-    cache.Insert(Point("t", "x", 100 + i));  // forces eviction each time
-    ASSERT_EQ(cache.size(), 4u);
-  }
-  EXPECT_EQ(cache.CoveredByBatch(ptrs), std::vector<uint8_t>{1})
-      << "the batch-hit part must survive clock replacement";
-}
-
 TEST(CaqpCacheTest, SnapshotSeesAllEntries) {
   CaqpCache cache(100);
   for (int64_t i = 0; i < 12; ++i) {

@@ -239,15 +239,13 @@ TEST(ConcurrencyTest, LookupHeavyReadersRaceInsertAndInvalidate) {
   }
 }
 
-// Batched lookups (one epoch critical section spanning many probes over
-// one published snapshot) racing inserts, invalidations, and evictions.
-// The batch path holds its epoch pin far longer than a single lookup, so
-// writers republish snapshots under it constantly — the interleaving most
-// likely to expose a reclamation bug (use-after-free of a retired
-// Index/ItemVec) to TSan/ASan. Parts on
+// Lock-free lookups racing inserts, churn invalidations, and (on a second,
+// tiny cache) evictions: writers republish snapshots while readers hold
+// epoch pins, the interleaving most likely to expose a reclamation bug
+// (use-after-free of a retired Index/ItemVec) to TSan/ASan. Parts on
 // "anchor<i>" relations are never invalidated and capacity is ample, so
-// each batch must report them covered throughout.
-TEST(ConcurrencyTest, BatchedLookupsRaceMutations) {
+// every anchor lookup must report covered throughout.
+TEST(ConcurrencyTest, AnchoredLookupsRaceMutations) {
   CaqpCache cache(100000);
   const int64_t kAnchors = 64;
   std::vector<AtomicQueryPart> anchors;
@@ -260,64 +258,50 @@ TEST(ConcurrencyTest, BatchedLookupsRaceMutations) {
     cache.Insert(anchors.back());
   }
 
-  const int kBatchers = 4;
-  const int kBatchesPerThread = 1500;
-  std::atomic<int> batchers_done{0};
+  const int kReaders = 4;
+  const int kProbesPerThread = 18000;
+  std::atomic<int> readers_done{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < kBatchers; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     threads.emplace_back([&, t] {
       std::mt19937_64 rng(900 + t);
-      for (int op = 0; op < kBatchesPerThread; ++op) {
+      for (int op = 0; op < kProbesPerThread; ++op) {
         // Mix stable hits with probes over the churning relations.
-        std::vector<AtomicQueryPart> churn_probes;
-        std::vector<const AtomicQueryPart*> probes;
-        std::vector<size_t> anchor_slots;
-        for (int k = 0; k < 12; ++k) {
-          if (rng() % 2 == 0) {
-            anchor_slots.push_back(probes.size());
-            probes.push_back(&anchors[rng() % kAnchors]);
-          } else {
-            churn_probes.push_back(
-                Point("churn" + std::to_string(rng() % 4),
-                      static_cast<int64_t>(rng() % 32)));
-          }
-        }
-        for (const AtomicQueryPart& p : churn_probes) probes.push_back(&p);
-        std::vector<uint8_t> covered = cache.CoveredByBatch(probes);
-        ASSERT_EQ(covered.size(), probes.size());
-        for (size_t slot : anchor_slots) {
-          ASSERT_TRUE(covered[slot]);  // anchors are never invalidated
+        if (rng() % 2 == 0) {
+          // Anchors are never invalidated.
+          ASSERT_TRUE(cache.CoveredBy(anchors[rng() % kAnchors]));
+        } else {
+          cache.CoveredBy(Point("churn" + std::to_string(rng() % 4),
+                                static_cast<int64_t>(rng() % 32)));
         }
       }
-      batchers_done.fetch_add(1);
+      readers_done.fetch_add(1);
     });
   }
   std::thread inserter([&] {
     std::mt19937_64 rng(111);
-    while (batchers_done.load() < kBatchers) {
+    while (readers_done.load() < kReaders) {
       cache.Insert(Point("churn" + std::to_string(rng() % 4),
                          static_cast<int64_t>(rng() % 32)));
     }
   });
   std::thread invalidator([&] {
     std::mt19937_64 rng(222);
-    while (batchers_done.load() < kBatchers) {
+    while (readers_done.load() < kReaders) {
       cache.InvalidateRelation("churn" + std::to_string(rng() % 4));
       std::this_thread::yield();
     }
   });
-  // A second cache at tiny capacity drives eviction churn under batched
-  // readers (the big cache above never evicts).
+  // A second cache at tiny capacity drives eviction churn under readers
+  // (the big cache above never evicts).
   std::thread evict_churn([&] {
     CaqpCache tiny(16);
     std::mt19937_64 rng(333);
     std::vector<AtomicQueryPart> probes;
     for (int64_t i = 0; i < 8; ++i) probes.push_back(Point("e", i));
-    std::vector<const AtomicQueryPart*> ptrs;
-    for (const AtomicQueryPart& p : probes) ptrs.push_back(&p);
-    while (batchers_done.load() < kBatchers) {
+    while (readers_done.load() < kReaders) {
       tiny.Insert(Point("e", static_cast<int64_t>(rng() % 256)));
-      tiny.CoveredByBatch(ptrs);
+      for (const AtomicQueryPart& p : probes) tiny.CoveredBy(p);
     }
   });
   for (std::thread& t : threads) t.join();
@@ -326,7 +310,7 @@ TEST(ConcurrencyTest, BatchedLookupsRaceMutations) {
   evict_churn.join();
 
   CaqpCache::CacheStats stats = cache.stats_snapshot();
-  // Retired snapshots drain once the batch readers are gone.
+  // Retired snapshots drain once the readers are gone.
   EXPECT_GT(stats.lookups, 0u);
   for (const AtomicQueryPart& anchor : anchors) {
     ASSERT_TRUE(cache.CoveredBy(anchor));

@@ -186,63 +186,29 @@ TEST_F(DetectorTest, DnfBlowupFallsBackToNotEmpty) {
   EXPECT_EQ(r.parts_checked, 0u);
 }
 
-TEST_F(DetectorTest, BatchCheckMatchesSingleChecks) {
+TEST_F(DetectorTest, VerdictsAcrossCoveredAndUncoveredShapes) {
   ExecuteAndRecord("select * from A where a > 100");
   ExecuteAndRecord("select * from B where e = 999");
-  std::vector<std::string> sqls = {
-      "select * from A where a > 500",              // covered
-      "select * from A where a > 15",               // not covered
-      "select * from B where e = 999",              // covered
-      "select * from A, B where A.c = B.d and A.a > 100",  // covered (join)
-      "select * from B",                            // not covered
+  struct Case {
+    std::string sql;
+    bool empty;
   };
-  std::vector<LogicalOpPtr> roots;
-  for (const std::string& sql : sqls) {
-    auto plan = db_.Plan(sql);
+  const std::vector<Case> cases = {
+      {"select * from A where a > 500", true},
+      {"select * from A where a > 15", false},
+      {"select * from B where e = 999", true},
+      {"select * from A, B where A.c = B.d and A.a > 100", true},  // join
+      {"select * from B", false},
+      // §2.5 UNION: empty only when both branches are.
+      {"select a from A where a > 500 union select a from A where a = 200",
+       true},
+      {"select a from A where a > 500 union select a from A", false},
+  };
+  for (const Case& c : cases) {
+    auto plan = db_.Plan(c.sql);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    roots.push_back(*plan);
+    EXPECT_EQ(detector_.CheckEmpty(*plan).provably_empty, c.empty) << c.sql;
   }
-  std::vector<CheckResult> batch = detector_.CheckEmptyBatch(roots);
-  ASSERT_EQ(batch.size(), roots.size());
-  for (size_t i = 0; i < roots.size(); ++i) {
-    EXPECT_EQ(batch[i].provably_empty,
-              detector_.CheckEmpty(roots[i]).provably_empty)
-        << sqls[i];
-  }
-  EXPECT_TRUE(batch[0].provably_empty);
-  EXPECT_FALSE(batch[1].provably_empty);
-  EXPECT_TRUE(batch[2].provably_empty);
-  EXPECT_TRUE(batch[3].provably_empty);
-  EXPECT_FALSE(batch[4].provably_empty);
-}
-
-TEST_F(DetectorTest, BatchCheckCountsAllDecomposedParts) {
-  // The batch path probes every part up front, so parts_checked counts
-  // the full combination factor even when the verdict is "not empty".
-  auto plan = db_.Plan(
-      "select * from A, B where A.c = B.d and (A.a = 1 or A.a = 2) "
-      "and (B.e = 3 or B.e = 4)");
-  ASSERT_TRUE(plan.ok());
-  std::vector<CheckResult> batch = detector_.CheckEmptyBatch({*plan});
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].parts_checked, 4u);  // F = 2 x 2
-  EXPECT_FALSE(batch[0].provably_empty);
-}
-
-TEST_F(DetectorTest, BatchCheckHandlesUnionAndEmptyBatch) {
-  EXPECT_TRUE(detector_.CheckEmptyBatch({}).empty());
-  ExecuteAndRecord("select * from A where a > 100");
-  auto both_empty = db_.Plan(
-      "select a from A where a > 500 union select a from A where a = 200");
-  auto half_empty = db_.Plan(
-      "select a from A where a > 500 union select a from A");
-  ASSERT_TRUE(both_empty.ok());
-  ASSERT_TRUE(half_empty.ok());
-  std::vector<CheckResult> batch =
-      detector_.CheckEmptyBatch({*both_empty, *half_empty});
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_TRUE(batch[0].provably_empty);
-  EXPECT_FALSE(batch[1].provably_empty);
 }
 
 TEST_F(DetectorTest, RecordEmptyReturnsInsertCount) {

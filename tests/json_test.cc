@@ -83,6 +83,19 @@ TEST(JsonParseTest, RejectsMalformedDocuments) {
   }
 }
 
+TEST(JsonParseTest, RejectsNonFiniteNumbers) {
+  // strtod maps these to +/-inf; JSON has no non-finite numbers.
+  for (const char* doc : {"1e999", "-1e999", "[1e400]", "{\"n\":1E999}"}) {
+    EXPECT_FALSE(JsonValue::Parse(doc).ok()) << doc;
+  }
+  auto tiny = JsonValue::Parse("1e-999");  // underflow stays finite
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny->AsDouble(), 0.0);
+  auto big = JsonValue::Parse("1e300");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big->AsDouble(), 1e300);
+}
+
 TEST(JsonParseTest, RejectsPathologicalNesting) {
   std::string deep(200, '[');
   deep += std::string(200, ']');

@@ -198,6 +198,24 @@ TEST_F(ManagerTest, QueryBatchHarvestsExecutedEmptyResults) {
   EXPECT_TRUE(second[0]->detected_empty);
 }
 
+TEST_F(ManagerTest, BatchDetectsRepeatOfEmptyItemEarlierInSameBatch) {
+  EmptyResultManager manager(&db_.catalog(), &db_.stats(),
+                             HighCostEverything());
+  // Items run in order, exactly as sequential submissions: the first
+  // executes, comes back empty and is harvested, so the second is
+  // detected from C_aqp without execution.
+  std::vector<StatusOr<QueryOutcome>> batch =
+      manager.ExecuteBatch(QueryRequest::Batch(
+          {"select * from A where a > 100", "select * from A where a > 100"}));
+  ASSERT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(batch[0].ok()) << batch[0].status();
+  EXPECT_TRUE(batch[0]->executed);
+  EXPECT_FALSE(batch[0]->detected_empty);
+  ASSERT_TRUE(batch[1].ok()) << batch[1].status();
+  EXPECT_TRUE(batch[1]->detected_empty);
+  EXPECT_FALSE(batch[1]->executed);
+}
+
 TEST_F(ManagerTest, StatsAccumulateAcrossStream) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats(),
                              HighCostEverything());

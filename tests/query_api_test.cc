@@ -99,39 +99,6 @@ TEST(QueryApiTest, EmptyBatchYieldsEmptyVector) {
   EXPECT_TRUE(manager.ExecuteBatch(QueryRequest::Batch({})).empty());
 }
 
-TEST(QueryApiTest, BatchCheckSecondsWeightedByPartsChecked) {
-  // The satellite fix: a batch's single C_aqp probe time is attributed
-  // per query in proportion to parts_checked, not split evenly. Seed the
-  // cache so both batch members are *detected* (a detected query's
-  // check_seconds is exactly its share of the batched probe; executed
-  // queries additionally accumulate per-query PrunePlan time). The
-  // one-part query and the two-part (OR -> 2 DNF terms) query then share
-  // one measured probe time, so the two-part share must be twice the
-  // one-part share, whatever the wall clock did.
-  FixtureDb db;
-  EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
-  const std::string one_part_sql = "select * from A where a > 100";
-  const std::string two_part_sql =
-      "select * from A where a > 200 or b > 2000";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome seed1, manager.Query(one_part_sql));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome seed2, manager.Query(two_part_sql));
-  ASSERT_GT(seed1.aqps_recorded, 0u);
-  ASSERT_GT(seed2.aqps_recorded, 0u);
-
-  std::vector<StatusOr<QueryOutcome>> results =
-      manager.ExecuteBatch(QueryRequest::Batch({one_part_sql, two_part_sql}));
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_TRUE(results[0].ok());
-  ASSERT_TRUE(results[1].ok());
-  ASSERT_TRUE(results[0]->detected_empty);
-  ASSERT_TRUE(results[1]->detected_empty);
-  const double one_part = results[0]->timings.check_seconds;
-  const double two_part = results[1]->timings.check_seconds;
-  EXPECT_GT(one_part, 0.0);
-  EXPECT_NEAR(two_part, 2.0 * one_part, 1e-12)
-      << "check_seconds must be attributed by parts_checked (1 vs 2)";
-}
-
 TEST(QueryResponseTest, RowLimitTruncates) {
   FixtureDb db;
   EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());

@@ -340,6 +340,32 @@ TEST(ServerTest, ErrorPaths) {
   EXPECT_EQ(both.first, 400);
 }
 
+TEST(ServerTest, HostileRowLimitAnswers400) {
+  ServerFixture fx;
+  ERQ_ASSERT_OK(fx.start_status());
+  HttpRequest request;
+  request.method = "POST";
+  request.path = "/v1/query";
+  // Out of int64 range, non-finite, fractional, above 2^53, negative,
+  // and not a number at all.
+  for (const char* limit :
+       {"1e300", "1e999", "1.5", "1e16", "-1", "\"10\""}) {
+    request.body =
+        std::string("{\"sql\":\"select * from A\",\"row_limit\":") + limit +
+        "}";
+    ERQ_ASSERT_OK_AND_ASSIGN(auto result, Roundtrip(fx.port(), request));
+    EXPECT_EQ(result.first, 400) << "row_limit " << limit;
+  }
+  // The bounds themselves are accepted.
+  for (const char* limit : {"0", "9007199254740992", "2.0e1"}) {
+    request.body =
+        std::string("{\"sql\":\"select * from A\",\"row_limit\":") + limit +
+        "}";
+    ERQ_ASSERT_OK_AND_ASSIGN(auto result, Roundtrip(fx.port(), request));
+    EXPECT_EQ(result.first, 200) << "row_limit " << limit;
+  }
+}
+
 TEST(ServerTest, TenantLimitAnswers429) {
   ServerOptions options = SmallServer();
   options.max_tenants = 2;

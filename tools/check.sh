@@ -15,6 +15,9 @@
 #   tools/check.sh server     # erq_server end-to-end smoke: start the
 #                             # binary, query/metrics/invalidate over
 #                             # HTTP, verify responses, clean shutdown
+#   tools/check.sh e2e        # end-to-end benchmark smoke: build the
+#                             # e2ebench package and run its `bench`-
+#                             # labelled ctest (every workload, briefly)
 #   tools/check.sh bench      # opt-in: build benches + regenerate
 #                             # BENCH_caqp.json via tools/bench_json.sh
 #                             # (not part of the default job set)
@@ -358,6 +361,20 @@ PYEOF
   ok "server"
 }
 
+run_e2e() {
+  # The e2ebench package configures its own tree (e2ebench/build, the one
+  # run_benchmark.py uses) from ../src, so this also proves the benchmark
+  # still builds against the current engine sources.
+  log "e2e: configure + build e2ebench"
+  cmake -S e2ebench -B e2ebench/build \
+    && cmake --build e2ebench/build -j "$JOBS" \
+    || { bad "e2e (build)"; return 1; }
+  log "e2e: ctest -L bench"
+  ctest --test-dir e2ebench/build -L bench --output-on-failure \
+    || { bad "e2e"; return 1; }
+  ok "e2e"
+}
+
 run_bench() {
   # Opt-in perf snapshot: builds the bench targets and regenerates
   # BENCH_caqp.json. Honors BENCH_MIN_TIME (e.g. 0.01 for a smoke run).
@@ -368,14 +385,6 @@ run_bench() {
   cmake --build "$dir" -j "$JOBS" \
     --target bench_concurrent bench_micro bench_partition bench_reuse \
     metrics_dump || { bad "bench (build)"; return 1; }
-  # Batched-lookup smoke: CheckEmptyBatch/CoveredByBatch is a distinct
-  # code path (one epoch pin + one counter flush per batch), so prove it
-  # runs before the full snapshot.
-  log "bench: batched-lookup smoke (CoveredByBatch path)"
-  "$dir/bench/bench_concurrent" \
-      --benchmark_filter='BM_BatchLookupHit/4096/real_time/threads:1$' \
-      --benchmark_min_time="${BENCH_MIN_TIME:-0.01}" \
-    || { bad "bench (batch smoke)"; return 1; }
   log "bench: tools/bench_json.sh"
   tools/bench_json.sh "$dir" || { bad "bench (run)"; return 1; }
   ok "bench"
@@ -396,7 +405,7 @@ main() {
   done
   # bench is opt-in (perf snapshot, not a correctness gate). analyze runs
   # after plain so the compile_commands.json it needs already exists.
-  [[ ${#jobs[@]} -eq 0 ]] && jobs=(plain analyze asan tsan clang docs server)
+  [[ ${#jobs[@]} -eq 0 ]] && jobs=(plain analyze asan tsan clang docs server e2e)
   for job in "${jobs[@]}"; do
     case "$job" in
       plain)   run_plain ;;
@@ -407,9 +416,10 @@ main() {
       tidy)    run_tidy ;;
       docs)    run_docs ;;
       server)  run_server ;;
+      e2e)     run_e2e ;;
       bench)   run_bench ;;
       *) echo "unknown job: $job" \
-            "(want plain|analyze|asan|tsan|clang|tidy|docs|server|bench;" \
+            "(want plain|analyze|asan|tsan|clang|tidy|docs|server|e2e|bench;" \
             "--help for details)" >&2
          exit 2 ;;
     esac
