@@ -74,8 +74,7 @@ class Catalog {
                               std::function<bool(const Row&)> pred);
 
   /// Declares (or clears) horizontal partitioning on a table and fires a
-  /// kGeneric event: every previously recorded (relation, partition) fact
-  /// is stale once the partition mapping changes.
+  /// kGeneric event, as for any other change to the table.
   Status SetPartitioning(const std::string& table_name,
                          PartitionScheme scheme);
 

@@ -148,27 +148,6 @@ void ColumnZoneMap::Observe(const Value& v, size_t distinct_cap) {
   distinct.push_back(v);
 }
 
-std::string MakePartitionName(const std::string& base, size_t partition) {
-  return base + "@" + std::to_string(partition);
-}
-
-bool SplitPartitionName(const std::string& name, std::string* base,
-                        size_t* partition) {
-  size_t at = name.rfind('@');
-  if (at == std::string::npos || at == 0 || at + 1 >= name.size()) {
-    return false;
-  }
-  size_t k = 0;
-  for (size_t i = at + 1; i < name.size(); ++i) {
-    char c = name[i];
-    if (c < '0' || c > '9') return false;
-    k = k * 10 + static_cast<size_t>(c - '0');
-  }
-  *base = name.substr(0, at);
-  *partition = k;
-  return true;
-}
-
 std::vector<Value> EquiWidthBounds(const std::vector<Row>& rows,
                                    size_t key_index, size_t partitions) {
   std::vector<Value> bounds;

@@ -3,9 +3,7 @@
 /// \file
 /// Horizontal partitioning of the catalog row-store: the partitioning
 /// scheme declared on a Table, per-partition zone maps (min/max per
-/// column, row count, bounded distinct-value summary), and the
-/// partition-tagged relation names ("base@k") under which partition-
-/// granular emptiness knowledge is stored in C_aqp. See DESIGN.md
+/// column, row count, bounded distinct-value summary). See DESIGN.md
 /// §"Partitioning & data skipping".
 
 #include <cstdint>
@@ -22,9 +20,8 @@ namespace erq {
 
 /// How a table's rows are assigned to horizontal partitions. A scheme is
 /// declared on one key column; every row's partition is a pure function
-/// of its key value, so partition membership is stable under inserts —
-/// the property that keeps stored (relation, partition) emptiness facts
-/// valid for untouched partitions (repartitioning invalidates them all).
+/// of its key value, so partition membership is stable under inserts and
+/// an insert only touches the zone maps of the partitions it lands in.
 struct PartitionScheme {
   /// The partitioning function family.
   enum class Kind {
@@ -64,7 +61,7 @@ struct PartitionScheme {
 
   /// The partition index of one key value in [0, Count()). NULL keys land
   /// in partition 0. Deterministic across processes (the hash family is
-  /// fixed), so persisted partition-tagged facts stay meaningful.
+  /// fixed).
   size_t PartitionOf(const Value& key) const;
 };
 
@@ -118,17 +115,6 @@ struct PartitionSnapshot {
   uint64_t version = 0;
 };
 
-/// The canonical occurrence name for partition `k` of `base`: "base@k".
-/// Stored under this name, a C_aqp part records knowledge about one
-/// partition; the '@' tag cannot collide with SQL identifiers or with the
-/// "#n" occurrence renaming of self-joins.
-std::string MakePartitionName(const std::string& base, size_t partition);
-
-/// Parses "base@k" back into its base name and partition index. Returns
-/// false (leaving the outputs untouched) when `name` carries no tag.
-bool SplitPartitionName(const std::string& name, std::string* base,
-                        size_t* partition);
-
 /// Equi-width range bounds over the observed key values of `rows` at
 /// column `key_index`: `partitions - 1` ascending exclusive upper bounds
 /// splitting [min, max] into equal value-width ranges. Returns an empty
@@ -139,7 +125,7 @@ std::vector<Value> EquiWidthBounds(const std::vector<Row>& rows,
 
 /// Process- and build-stable hash of a value, used by hash partitioning.
 /// Unlike std::hash this is pinned (FNV-1a over a canonical byte form),
-/// so persisted "base@k" facts recover into the same partition mapping.
+/// so a hash scheme maps a value to the same partition in every build.
 uint64_t StableValueHash(const Value& v);
 
 }  // namespace erq

@@ -76,9 +76,8 @@ class Table {
 
   /// Declares (or clears, with a kNone scheme) horizontal partitioning.
   /// Validates the scheme against the schema, then rebuilds partition
-  /// state from the current rows. Any previously recorded
-  /// (relation, partition) knowledge is stale after this call — the
-  /// catalog layer fires an update event so caches can invalidate.
+  /// state from the current rows. The catalog layer fires an update event
+  /// for the change.
   ERQ_NODISCARD Status SetPartitioning(PartitionScheme scheme);
 
   /// True when a partitioning scheme (kind != kNone) is declared.

@@ -65,4 +65,21 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+StatusOr<uint64_t> ParseDecimal(std::string_view s, uint64_t max) {
+  if (s.empty()) return Status::ParseError("empty decimal value");
+  uint64_t out = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') {
+      return Status::ParseError("not a decimal integer: " + std::string(s));
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || out > (max - digit) / 10) {
+      return Status::ParseError("decimal value above " + std::to_string(max) +
+                                ": " + std::string(s));
+    }
+    out = out * 10 + digit;
+  }
+  return out;
+}
+
 }  // namespace erq

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/statusor.h"
 
 namespace erq {
 
@@ -26,6 +29,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+/// Parses `s` as an unsigned decimal integer no greater than `max`: one or
+/// more ASCII digits and nothing else (no sign, no whitespace). Empty
+/// input, any other character and values above `max` are a ParseError.
+StatusOr<uint64_t> ParseDecimal(std::string_view s, uint64_t max);
 
 }  // namespace erq
 

@@ -418,17 +418,15 @@ void CaqpCache::Clear() {
 void CaqpCache::InvalidateRelation(const std::string& base_name) {
   std::string base = ToLower(base_name);
   std::string prefix = base + "#";
-  std::string partition_prefix = base + "@";
   MutexLock lock(&mu_);
   // The writer-side posting keys are exactly the relation names of live
-  // entries, so matching keys (base, renamed occurrences "base#k", or
-  // partition tags "base@k") enumerate the affected entries. A self-join
-  // entry appears under several matching names — dedup before dropping,
-  // and copy the ids out because dropping mutates the index.
+  // entries, so matching keys (base and renamed occurrences "base#k")
+  // enumerate the affected entries. A self-join entry appears under
+  // several matching names — dedup before dropping, and copy the ids out
+  // because dropping mutates the index.
   std::vector<size_t> affected;
   for (const auto& [name, list] : postings_) {
-    if (name == base || StartsWith(name, prefix) ||
-        StartsWith(name, partition_prefix)) {
+    if (name == base || StartsWith(name, prefix)) {
       affected.insert(affected.end(), list.begin(), list.end());
     }
   }

@@ -69,18 +69,11 @@ struct EmptyResultConfig {
   /// "decided based on past statistics").
   bool auto_tune_c_cost = false;
 
-  /// Consult per-partition zone maps and stored (relation, partition)
-  /// emptiness facts to skip partitions of partitioned tables at scan
-  /// time (DESIGN.md §"Partitioning & data skipping"). Off = partitioned
-  /// tables scan every partition (the partitions=1-equivalent ablation).
+  /// Consult per-partition zone maps to skip partitions of partitioned
+  /// tables at scan time (DESIGN.md §"Partitioning & data skipping").
+  /// Off = partitioned tables scan every partition (the
+  /// partitions=1-equivalent ablation).
   bool partition_pruning = true;
-
-  /// Record observed-empty partitions of executed scans as
-  /// partition-tagged atomic query parts in C_aqp, so later globally
-  /// non-empty queries can skip them. Unlike whole-query recording this
-  /// is not gated on the query being empty or high-cost: the facts are
-  /// free observations of work the scan already did.
-  bool record_partition_empties = true;
 
   /// Default partition fanout used by workload loaders (e.g. the TPC-R
   /// generator) when declaring partitioning; 1 disables partitioning.

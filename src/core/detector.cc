@@ -1,9 +1,6 @@
 #include "core/detector.h"
 
-#include <unordered_map>
-
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "core/update_filter.h"
 
 namespace erq {
@@ -19,9 +16,6 @@ struct DetectorMetrics {
   Counter* provably_empty;
   Counter* record_calls;
   Counter* parts_recorded;
-  Counter* partition_hits;
-  Counter* partition_recorded;
-  Counter* partition_invalidated;
 
   static const DetectorMetrics& Get() {
     static const DetectorMetrics m = [] {
@@ -32,31 +26,11 @@ struct DetectorMetrics {
           r.GetCounter("erq.detector.provably_empty"),
           r.GetCounter("erq.detector.record_calls"),
           r.GetCounter("erq.detector.parts_recorded"),
-          r.GetCounter("erq.caqp.partition.hits"),
-          r.GetCounter("erq.caqp.partition.recorded"),
-          r.GetCounter("erq.caqp.partition.invalidated"),
       };
     }();
     return m;
   }
 };
-
-/// True when `name` is a canonical occurrence of `base` ("base" itself or
-/// a self-join rename "base#k").
-bool IsOccurrence(const std::string& name, const std::string& base) {
-  return name == base || StartsWith(name, base + "#");
-}
-
-/// The partition-tagged probe/record part for (base, partition,
-/// condition): relation set {"base@k"}, condition terms renamed onto the
-/// tagged occurrence so Theorem 2's column identities line up.
-AtomicQueryPart MakePartitionPart(const std::string& base, size_t partition,
-                                  const Conjunction& condition) {
-  std::string tagged = MakePartitionName(base, partition);
-  std::unordered_map<std::string, std::string> rename{{base, tagged}};
-  return AtomicQueryPart(RelationSet({tagged}),
-                         condition.RenameRelations(rename));
-}
 
 }  // namespace
 
@@ -145,47 +119,6 @@ size_t EmptyResultDetector::RecordEmpty(const PhysOpPtr& executed_root) {
   return inserted;
 }
 
-bool EmptyResultDetector::PartitionCovered(const std::string& base,
-                                           size_t partition,
-                                           const Conjunction& condition) {
-  AtomicQueryPart probe =
-      MakePartitionPart(ToLower(base), partition, condition);
-  if (!cache_.CoveredBy(probe)) return false;
-  DetectorMetrics::Get().partition_hits->Increment();
-  return true;
-}
-
-size_t EmptyResultDetector::RecordPartitionEmpties(
-    const PhysOpPtr& executed_root) {
-  size_t inserted = 0;
-  std::vector<const PhysicalOperator*> stack = {executed_root.get()};
-  while (!stack.empty()) {
-    const PhysicalOperator* op = stack.back();
-    stack.pop_back();
-    if (op == nullptr) continue;
-    for (const PhysOpPtr& child : op->children) stack.push_back(child.get());
-    if (op->kind != PhysOpKind::kTableScan || !op->has_scan_condition ||
-        op->partitions_scanned < 0) {
-      continue;
-    }
-    std::string base = ToLower(op->table_name);
-    for (const PartitionScanStat& stat : op->partition_stats) {
-      if (stat.matches != 0) continue;
-      AtomicQueryPart part =
-          MakePartitionPart(base, stat.partition, op->scan_condition);
-      // Unsatisfiable conditions carry no information (and would be
-      // skipped by the whole-query harvest too).
-      if (part.ProvablyUnsatisfiable()) continue;
-      cache_.Insert(part);
-      ++inserted;
-    }
-  }
-  if (inserted > 0) {
-    DetectorMetrics::Get().partition_recorded->Increment(inserted);
-  }
-  return inserted;
-}
-
 LogicalOpPtr EmptyResultDetector::PrunePlan(const LogicalOpPtr& root,
                                             size_t* pruned) {
   if (root == nullptr) return root;
@@ -270,60 +203,6 @@ size_t EmptyResultDetector::OnRelationInserted(const std::string& table_name,
   return cache_.DropIf([&](const AtomicQueryPart& part) {
     return InsertsAreRelevant(part, table_name, schema, rows);
   });
-}
-
-size_t EmptyResultDetector::OnRelationInserted(const std::string& table_name,
-                                               const Schema& schema,
-                                               const std::vector<Row>& rows,
-                                               const PartitionScheme& scheme) {
-  if (!scheme.partitioned() ||
-      config_.invalidation == InvalidationMode::kDropAll) {
-    return OnRelationInserted(table_name, schema, rows);
-  }
-  std::string base = ToLower(table_name);
-  StatusOr<size_t> key = schema.IndexOf(scheme.key_column);
-  if (!key.ok()) {
-    // Cannot attribute rows to partitions: conservative whole-relation
-    // invalidation (drops tagged and untagged parts alike).
-    size_t before = cache_.size();
-    cache_.InvalidateRelation(base);
-    return before - cache_.size();
-  }
-  // Group the inserted rows by target partition. Untouched partitions keep
-  // their tagged parts: partition membership is a pure function of the
-  // key, so rows landing in partition k cannot un-empty partition j.
-  std::vector<std::vector<Row>> by_partition(scheme.Count());
-  for (const Row& row : rows) {
-    size_t k =
-        key.value() < row.size() ? scheme.PartitionOf(row[key.value()]) : 0;
-    by_partition[k].push_back(row);
-  }
-  const bool filter =
-      config_.invalidation == InvalidationMode::kFilterIrrelevant;
-  size_t dropped = cache_.DropIf([&](const AtomicQueryPart& part) {
-    for (const std::string& name : part.relations().names()) {
-      std::string tag_base;
-      size_t k = 0;
-      if (SplitPartitionName(name, &tag_base, &k)) {
-        if (!IsOccurrence(tag_base, base)) continue;
-        if (k >= by_partition.size()) return true;  // stale partition tag
-        if (by_partition[k].empty()) continue;      // untouched partition
-        if (!filter) return true;
-        if (InsertsAreRelevant(part, name, schema, by_partition[k])) {
-          return true;
-        }
-        continue;
-      }
-      if (!IsOccurrence(name, base)) continue;
-      if (!filter) return true;
-      if (InsertsAreRelevant(part, base, schema, rows)) return true;
-    }
-    return false;
-  });
-  if (dropped > 0) {
-    DetectorMetrics::Get().partition_invalidated->Increment(dropped);
-  }
-  return dropped;
 }
 
 void EmptyResultDetector::OnRelationDeleted(const std::string& table_name) {

@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
-#include "catalog/partition.h"
 #include "common/statusor.h"
 #include "core/caqp_cache.h"
 #include "core/config.h"
 #include "core/decompose.h"
+#include "types/schema.h"
 
 namespace erq {
 
@@ -51,23 +51,6 @@ class EmptyResultDetector {
   /// Returns the number of atomic query parts inserted.
   size_t RecordEmpty(const PhysOpPtr& executed_root);
 
-  /// Theorem 2 at (relation, partition) granularity: true when C_aqp
-  /// holds a part over the partition-tagged occurrence "base@partition"
-  /// whose condition covers `condition` (terms over the canonical
-  /// lowercased `base`). Partition-tagged parts live in their own name
-  /// space — they never cover, and are never covered by, whole-relation
-  /// probes — so a hit proves the *partition's* contribution empty even
-  /// when the query is globally non-empty. Counts a partition hit metric.
-  bool PartitionCovered(const std::string& base, size_t partition,
-                        const Conjunction& condition);
-
-  /// Harvests per-partition observations of an executed plan: every
-  /// scanned partition whose rows produced zero scan-condition matches
-  /// becomes a stored part ({base@k}, condition) — ground truth the scan
-  /// already paid for, recorded regardless of whether the whole query was
-  /// empty. Returns the number of parts inserted.
-  size_t RecordPartitionEmpties(const PhysOpPtr& executed_root);
-
   /// §2.5 partial detection, cases (2b)/(4): when only one branch of a set
   /// operation is provably empty, the other branch alone needs evaluation.
   /// Returns a logical plan with such branches pruned:
@@ -93,18 +76,6 @@ class EmptyResultDetector {
   size_t OnRelationInserted(const std::string& table_name,
                             const Schema& schema,
                             const std::vector<Row>& rows);
-
-  /// Partition-aware insert invalidation: like the overload above, but
-  /// additionally narrows the scope of partition-tagged parts to the
-  /// partitions the rows actually land in (per `scheme`) — an insert into
-  /// partition k must not invalidate knowledge recorded for partition j.
-  /// Tagged parts whose partition index no longer fits the scheme are
-  /// dropped as stale. Falls back to the plain overload when `scheme` is
-  /// unpartitioned. Returns the number of parts dropped.
-  size_t OnRelationInserted(const std::string& table_name,
-                            const Schema& schema,
-                            const std::vector<Row>& rows,
-                            const PartitionScheme& scheme);
 
   /// §5 extension: deletions can never make an empty result non-empty, so
   /// under kFilterIrrelevant they invalidate nothing.

@@ -14,24 +14,6 @@ std::string FormatSeconds(double seconds) {
   return buf;
 }
 
-// Adapts the detector's (relation, partition) coverage probe to the
-// executor-layer oracle interface, so erq_exec needs no knowledge of the
-// detector. Sound by Theorem 2: a hit means C_aqp stores a part over
-// "table@partition" whose condition covers the scan condition.
-class DetectorPartitionOracle final : public PartitionCoverageOracle {
- public:
-  explicit DetectorPartitionOracle(EmptyResultDetector* detector)
-      : detector_(detector) {}
-
-  bool PartitionCovered(const std::string& table, size_t partition,
-                        const Conjunction& condition) const override {
-    return detector_->PartitionCovered(table, partition, condition);
-  }
-
- private:
-  EmptyResultDetector* detector_;  // borrowed; outlives the oracle
-};
-
 // Sums a per-scan partition counter (>= 0 means "this scan was
 // partition-pruned") across every table scan in the executed plan.
 size_t SumPartitionField(const PhysOpPtr& root,
@@ -170,14 +152,8 @@ EmptyResultManager::EmptyResultManager(Catalog* catalog, StatsCatalog* stats,
       case TableUpdateEvent::Kind::kInsert: {
         auto table = catalog_->GetTable(event.table_name);
         if (table.ok() && event.inserted_rows != nullptr) {
-          // The partition-aware overload narrows invalidation of tagged
-          // "base@k" parts to the partitions the rows land in; it falls
-          // back to whole-relation filtering when the table is
-          // unpartitioned.
-          detector_.OnRelationInserted(event.table_name,
-                                       (*table)->schema(),
-                                       *event.inserted_rows,
-                                       (*table)->partition_scheme());
+          detector_.OnRelationInserted(event.table_name, (*table)->schema(),
+                                       *event.inserted_rows);
           if (reuse_store_ != nullptr) {
             reuse_store_->OnRelationInserted(
                 event.table_name, (*table)->schema(), *event.inserted_rows);
@@ -338,13 +314,8 @@ StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
   std::vector<HarvestedIntermediate> harvested;
   {
     ScopedSpan span(metrics_.stage_execute, &outcome.timings.execute_seconds);
-    // Pruner + oracle are stack-local but must outlive Run (they are
-    // consulted from TableScanIter::Open); the detector they borrow is
-    // internally synchronized, so probes are safe mid-execution.
-    DetectorPartitionOracle oracle(&detector_);
-    PartitionPruner pruner(&oracle);
     ExecOptions exec_options;
-    if (config_.partition_pruning) exec_options.pruner = &pruner;
+    exec_options.prune_partitions = config_.partition_pruning;
     // Harvest only for high-cost queries: the gate already decided this
     // query was worth checking, so its intermediates are the ones later
     // high-cost queries are likely to repeat (§2.2's economics applied to
@@ -390,16 +361,6 @@ StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
       outcome.aqps_recorded = detector_.RecordEmpty(physical);
     }
     if (outcome.aqps_recorded > 0) metrics_.recorded->Increment();
-  }
-
-  if (config_.detection_enabled && config_.partition_pruning &&
-      config_.record_partition_empties) {
-    // Partition-granular harvest is not gated on result_empty or the cost
-    // gate: every scanned partition with zero scan-condition matches is
-    // ground truth the scan already paid for (see config.h).
-    ScopedSpan span(metrics_.stage_record, &outcome.timings.record_seconds);
-    outcome.partition_aqps_recorded =
-        detector_.RecordPartitionEmpties(physical);
   }
 
   if (reuse_store_ != nullptr && !harvested.empty()) {

@@ -67,10 +67,7 @@ struct QueryOutcome {
   size_t branches_pruned = 0;   ///< §2.5 partial detection: set-op branches
                                 ///< proven empty and removed before execution
   size_t partitions_scanned = 0;  ///< partitions actually read by table scans
-  size_t partitions_pruned = 0;   ///< partitions skipped via zone maps or
-                                  ///< stored (relation, partition) knowledge
-  size_t partition_aqps_recorded = 0;  ///< (relation, partition) parts stored
-                                       ///< from zero-match scanned partitions
+  size_t partitions_pruned = 0;   ///< partitions skipped via zone maps
   size_t reused_subtrees = 0;    ///< plan subtrees replaced by spliced
                                  ///< reuse-store entries (CachedResultScan)
   size_t reuse_rows_served = 0;  ///< rows those spliced scans emitted

@@ -83,7 +83,6 @@ QueryResponse QueryResponse::FromOutcome(const QueryOutcome& outcome,
   out.branches_pruned = outcome.branches_pruned;
   out.partitions_scanned = outcome.partitions_scanned;
   out.partitions_pruned = outcome.partitions_pruned;
-  out.partition_aqps_recorded = outcome.partition_aqps_recorded;
   out.reused_subtrees = outcome.reused_subtrees;
   out.reuse_rows_served = outcome.reuse_rows_served;
   out.intermediates_harvested = outcome.intermediates_harvested;
@@ -149,8 +148,6 @@ std::string QueryResponse::ToJson() const {
   out += ",\"branches_pruned\":" + std::to_string(branches_pruned);
   out += ",\"partitions_scanned\":" + std::to_string(partitions_scanned);
   out += ",\"partitions_pruned\":" + std::to_string(partitions_pruned);
-  out += ",\"partition_aqps_recorded\":" +
-         std::to_string(partition_aqps_recorded);
   out += ",\"reused_subtrees\":" + std::to_string(reused_subtrees);
   out += ",\"reuse_rows_served\":" + std::to_string(reuse_rows_served);
   out += ",\"intermediates_harvested\":" +
@@ -231,11 +228,6 @@ std::string QueryResponse::ToText() const {
     std::snprintf(buf, sizeof(buf),
                   "; partitions scanned=%zu pruned=%zu", partitions_scanned,
                   partitions_pruned);
-    out += buf;
-  }
-  if (partition_aqps_recorded > 0) {
-    std::snprintf(buf, sizeof(buf), "; %zu partition part(s) recorded",
-                  partition_aqps_recorded);
     out += buf;
   }
   if (reused_subtrees > 0) {

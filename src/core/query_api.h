@@ -94,9 +94,7 @@ struct QueryResponse {
   size_t aqps_recorded = 0;      ///< atomic parts harvested into C_aqp
   size_t branches_pruned = 0;    ///< §2.5 set-op branches removed
   size_t partitions_scanned = 0;  ///< partitions read by the plan's scans
-  size_t partitions_pruned = 0;   ///< partitions skipped via zone maps or
-                                  ///< stored (relation, partition) parts
-  size_t partition_aqps_recorded = 0;  ///< (relation, partition) parts stored
+  size_t partitions_pruned = 0;   ///< partitions skipped via zone maps
   size_t reused_subtrees = 0;    ///< plan subtrees served from the reuse store
   size_t reuse_rows_served = 0;  ///< rows emitted by those spliced scans
   size_t intermediates_harvested = 0;  ///< operator outputs admitted into

@@ -8,6 +8,7 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "stats/partition_stats.h"
 
 namespace erq {
 
@@ -95,14 +96,11 @@ class CountingIter : public Iter {
   IterPtr inner_;
 };
 
-/// Full-table or partition-pruned scan. The pruned path visits only
-/// surviving partitions but merges their row ids into globally ascending
-/// order, so the emitted row sequence is byte-identical to the full
-/// scan's minus rows from partitions provably irrelevant to the scan
-/// condition — rows the Filter above would drop anyway. Per surviving
-/// partition it counts scanned rows and scan-condition matches; a
-/// scanned partition with zero matches is ground truth the detector
-/// records as a partition-tagged atomic query part.
+/// Full-table or partition-pruned scan. The pruned path skips empty
+/// partitions and partitions whose zone maps refute the scan condition,
+/// and merges the survivors' row ids into globally ascending order, so
+/// the emitted row sequence is byte-identical to the full scan's minus
+/// rows the Filter above would drop anyway.
 class TableScanIter : public Iter {
  public:
   TableScanIter(PhysicalOperator* op, const ExecOptions& options)
@@ -112,38 +110,30 @@ class TableScanIter : public Iter {
     pos_ = 0;
     partitioned_ = false;
     row_ids_.clear();
-    stat_of_row_.clear();
-    if (options_.pruner == nullptr || !op_->has_scan_condition ||
+    if (!options_.prune_partitions || !op_->has_scan_condition ||
         op_->table == nullptr) {
       return Status::OK();
     }
-    snapshot_ = op_->table->partition_snapshot();
-    if (snapshot_ == nullptr) return Status::OK();
+    std::shared_ptr<const PartitionSnapshot> snapshot =
+        op_->table->partition_snapshot();
+    if (snapshot == nullptr) return Status::OK();
     partitioned_ = true;
-    std::vector<size_t> survivors =
-        options_.pruner->Prune(ToLower(op_->table_name), op_->table->schema(),
-                               *snapshot_, op_->scan_condition);
-    op_->partition_stats.clear();
-    op_->partition_stats.reserve(survivors.size());
-    std::vector<std::pair<size_t, size_t>> merged;  // (row id, stat index)
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      PartitionScanStat stat;
-      stat.partition = survivors[i];
-      op_->partition_stats.push_back(stat);
-      for (size_t rid : snapshot_->partitions[survivors[i]].row_ids) {
-        merged.emplace_back(rid, i);
+    const std::string table_name = ToLower(op_->table_name);
+    int64_t scanned = 0;
+    for (const PartitionState& part : snapshot->partitions) {
+      // Also refutes empty partitions.
+      if (ZoneMapsRefute(part, op_->table->schema(), table_name,
+                         op_->scan_condition)) {
+        continue;
       }
+      ++scanned;
+      row_ids_.insert(row_ids_.end(), part.row_ids.begin(),
+                      part.row_ids.end());
     }
-    std::sort(merged.begin(), merged.end());
-    row_ids_.reserve(merged.size());
-    stat_of_row_.reserve(merged.size());
-    for (const auto& [rid, stat_index] : merged) {
-      row_ids_.push_back(rid);
-      stat_of_row_.push_back(stat_index);
-    }
-    op_->partitions_scanned = static_cast<int64_t>(survivors.size());
+    std::sort(row_ids_.begin(), row_ids_.end());
+    op_->partitions_scanned = scanned;
     op_->partitions_pruned =
-        static_cast<int64_t>(snapshot_->partitions.size() - survivors.size());
+        static_cast<int64_t>(snapshot->partitions.size()) - scanned;
     return Status::OK();
   }
 
@@ -153,27 +143,14 @@ class TableScanIter : public Iter {
       return std::optional<Row>(op_->table->row(pos_++));
     }
     if (pos_ >= row_ids_.size()) return std::optional<Row>{};
-    size_t i = pos_++;
-    const Row& row = op_->table->row(row_ids_[i]);
-    PartitionScanStat& stat = op_->partition_stats[stat_of_row_[i]];
-    ++stat.rows;
-    if (op_->partition_probe != nullptr) {
-      ERQ_ASSIGN_OR_RETURN(bool pass,
-                           PredicatePasses(*op_->partition_probe, row));
-      if (pass) ++stat.matches;
-    } else {
-      ++stat.matches;
-    }
-    return std::optional<Row>(row);
+    return std::optional<Row>(op_->table->row(row_ids_[pos_++]));
   }
 
  private:
   PhysicalOperator* op_;
   const ExecOptions& options_;
-  std::shared_ptr<const PartitionSnapshot> snapshot_;
   bool partitioned_ = false;
-  std::vector<size_t> row_ids_;      // ascending, pruned-path only
-  std::vector<size_t> stat_of_row_;  // parallel: partition_stats index
+  std::vector<size_t> row_ids_;  // ascending, pruned-path only
   size_t pos_ = 0;
 };
 

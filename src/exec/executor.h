@@ -1,13 +1,12 @@
 #pragma once
 
 /// \file
-/// The pull-based plan executor and its per-run options (currently: the
-/// partition pruner a scan consults to skip partitions).
+/// The pull-based plan executor and its per-run options (partition
+/// pruning, intermediate harvesting).
 
 #include <vector>
 
 #include "common/statusor.h"
-#include "exec/partition_pruner.h"
 #include "plan/physical_plan.h"
 
 namespace erq {
@@ -40,11 +39,12 @@ struct HarvestedIntermediate {
 
 /// Per-run executor options.
 struct ExecOptions {
-  /// When non-null, table scans over partitioned tables with a derived
-  /// scan condition consult the pruner at open and visit only surviving
-  /// partitions (in globally ascending row order, so results are
-  /// byte-identical to the full scan). Must outlive the Run call.
-  const PartitionPruner* pruner = nullptr;
+  /// When true, table scans over partitioned tables with a derived scan
+  /// condition skip, at open, every empty partition and every partition
+  /// whose zone maps refute the condition, and visit the survivors in
+  /// globally ascending row order (so results are byte-identical to the
+  /// full scan).
+  bool prune_partitions = false;
 
   /// When non-null, every Filter-over-TableScan output whose observed
   /// cardinality stays at or under `harvest_max_rows` is buffered and
@@ -62,9 +62,7 @@ struct ExecOptions {
 /// per-operator output cardinalities that Operation O1 displays and
 /// Operation O2 mines for lowest-level empty query parts (the paper keeps
 /// them "as collected statistics during query execution"). Partitioned
-/// scans additionally record per-partition row/match counts
-/// (PhysicalOperator::partition_stats) that the detector harvests into
-/// partition-tagged atomic query parts.
+/// scans additionally record how many partitions they scanned and pruned.
 class Executor {
  public:
   /// Runs the plan to completion with default options. Resets and then

@@ -1,5 +1,6 @@
 #include "persist/persistence.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/metrics.h"
@@ -134,6 +135,17 @@ Status Persistence::RecoverLocked() {
     // Every line survived a CRC check, so a parse failure means the file
     // was written by an incompatible build — surface it, don't guess.
     ERQ_ASSIGN_OR_RETURN(AtomicQueryPart part, ParsePart(line));
+    // Older builds stored per-partition facts over "base@k"
+    // pseudo-relations. Nothing probes or invalidates them any more, so
+    // they are dropped here ('@' occurs in no SQL identifier and no "#k"
+    // occurrence name); AttachCaqp's re-based mirror leaves them out of
+    // the next snapshot.
+    const std::vector<std::string>& names = part.relations().names();
+    if (std::any_of(names.begin(), names.end(), [](const std::string& n) {
+          return n.find('@') != std::string::npos;
+        })) {
+      continue;
+    }
     recovered_.parts.push_back(std::move(part));
   }
 

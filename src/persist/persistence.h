@@ -44,7 +44,8 @@ class Persistence : public CaqpCache::ChangeListener {
  public:
   /// What recovery reconstructed from disk.
   struct RecoveredState {
-    /// C_aqp parts, in original insertion order.
+    /// C_aqp parts, in original insertion order (parts over legacy
+    /// "base@k" partition pseudo-relations left out).
     std::vector<AtomicQueryPart> parts;
     /// Body records read from the snapshot.
     uint64_t snapshot_records = 0;

@@ -415,7 +415,6 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
     std::unordered_map<std::string, std::string> to_canonical{
         {ToLower(alias), ToLower(table_name)}};
     std::vector<PrimitiveTerm> terms;
-    std::vector<ExprPtr> probe_parts;
     for (const ExprPtr& c : conjuncts) {
       StatusOr<ExprPtr> canonical = RewriteQualifiers(c, to_canonical);
       if (!canonical.ok()) continue;
@@ -423,7 +422,6 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
       if (!term.ok()) continue;
       if (term.value().kind() == PrimitiveTerm::Kind::kOpaque) continue;
       terms.push_back(std::move(term).value());
-      probe_parts.push_back(c);
     }
     Conjunction canonical_condition = Conjunction::Make(std::move(terms));
 
@@ -460,9 +458,6 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
       if (table->partitioned() && canonical_condition.size() > 0) {
         scan->scan_condition = std::move(canonical_condition);
         scan->has_scan_condition = true;
-        ERQ_ASSIGN_OR_RETURN(
-            scan->partition_probe,
-            BindExpr(Expr::MakeAnd(std::move(probe_parts)), scan_layout));
         // Cost the scan by its zone-map survivor bound, so the C_cost gate
         // sees the pruned (cheaper) scan the executor will actually run.
         auto snapshot = table->partition_snapshot();

@@ -44,7 +44,6 @@ void PhysicalOperator::ResetActuals() {
   actual_rows = -1;
   partitions_scanned = -1;
   partitions_pruned = -1;
-  partition_stats.clear();
   for (const PhysOpPtr& c : children) c->ResetActuals();
 }
 

@@ -41,16 +41,6 @@ const char* PhysOpKindToString(PhysOpKind kind);
 struct PhysicalOperator;
 using PhysOpPtr = std::shared_ptr<PhysicalOperator>;
 
-/// Per-partition observation of one executed partitioned scan: how many
-/// rows the partition contributed and how many satisfied the scan
-/// condition. `matches == 0` on a scanned partition is ground truth the
-/// detector records as a partition-tagged atomic query part.
-struct PartitionScanStat {
-  size_t partition = 0;  ///< partition id within the table's scheme
-  size_t rows = 0;       ///< rows scanned from the partition
-  size_t matches = 0;    ///< rows satisfying the scan condition
-};
-
 /// A mutable physical plan node. Expressions are slot-bound against the
 /// child layouts noted per field. `actual_rows` is -1 until the executor
 /// has run the node; afterwards it holds the observed output cardinality
@@ -106,16 +96,13 @@ struct PhysicalOperator {
 
   // kTableScan over a partitioned table: the conjunction of sargable
   // single-table conjuncts (canonical qualifiers), used to refute
-  // partitions via zone maps and C_aqp partition-tagged knowledge. A
-  // *weaker* condition than the full local predicate — every emitted row
-  // still passes the Filter above — so pruning against it is sound.
+  // partitions via zone maps. A *weaker* condition than the full local
+  // predicate — every emitted row still passes the Filter above — so
+  // pruning against it is sound.
   // kCachedResultScan: the stored entry's condition (what the cached rows
   // are a selection by), display/diagnostic only.
   Conjunction scan_condition;
   bool has_scan_condition = false;
-  /// scan_condition as an executable predicate bound to the scan layout;
-  /// evaluated per row to count per-partition matches (null = count rows).
-  ExprPtr partition_probe;
 
   // Optimizer estimates and executor observations.
   double estimated_rows = 0.0;
@@ -124,7 +111,6 @@ struct PhysicalOperator {
   // Partitioned-scan observations (-1 until the scan ran partitioned).
   int64_t partitions_scanned = -1;
   int64_t partitions_pruned = -1;
-  std::vector<PartitionScanStat> partition_stats;
 
   /// Resets actual_rows to -1 in the whole subtree (before re-execution).
   void ResetActuals();

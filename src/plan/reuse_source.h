@@ -3,8 +3,7 @@
 /// \file
 /// ReuseSpliceSource — the optimizer-facing face of the intermediate-result
 /// reuse store (src/reuse/), kept abstract so erq_plan needs no knowledge
-/// of the store's implementation (the same inversion PartitionCoverageOracle
-/// uses to keep erq_exec independent of the detector).
+/// of the store's implementation.
 
 #include <memory>
 #include <optional>

@@ -1,34 +1,16 @@
 #include "server/http.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+
+#include "common/string_util.h"
 
 namespace erq {
 
 namespace {
 
 constexpr size_t kReadChunk = 4096;
-
-std::string ToLower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
-
-/// Parses the decimal Content-Length value; rejects junk.
-StatusOr<size_t> ParseContentLength(const std::string& value) {
-  if (value.empty()) return Status::ParseError("empty Content-Length");
-  size_t out = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError("non-numeric Content-Length: " + value);
-    }
-    if (out > (SIZE_MAX - 9) / 10) {
-      return Status::ParseError("Content-Length overflow");
-    }
-    out = out * 10 + static_cast<size_t>(c - '0');
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -224,7 +206,8 @@ StatusOr<HttpRequest> HttpConnection::ReadRequest() {
   size_t body_len = 0;
   if (auto it = request.headers.find("content-length");
       it != request.headers.end()) {
-    ERQ_ASSIGN_OR_RETURN(body_len, ParseContentLength(it->second));
+    ERQ_ASSIGN_OR_RETURN(body_len,
+                         ParseDecimal(it->second, SIZE_MAX - (header_end + 4)));
   }
   const size_t total = header_end + 4 + body_len;
   if (total > max_request_bytes_) {
@@ -257,18 +240,27 @@ Status ReadHttpResponse(Socket* socket, int* status_code, std::string* body) {
   }
   const std::string head = buffer.substr(0, header_end);
   // "HTTP/1.1 NNN Reason"
+  const std::string_view head_view(head);
   const size_t sp = head.find(' ');
-  if (sp == std::string::npos || sp + 4 > head.size()) {
+  if (sp == std::string::npos) {
     return Status::ParseError("malformed HTTP status line");
   }
-  *status_code = std::atoi(head.c_str() + sp + 1);
+  const size_t code_end = head.find_first_of(" \r", sp + 1);
+  ERQ_ASSIGN_OR_RETURN(
+      const uint64_t code,
+      ParseDecimal(head_view.substr(sp + 1, code_end - (sp + 1)), 999));
+  *status_code = static_cast<int>(code);
 
   size_t body_len = 0;
   const std::string lower = ToLower(head);
   const size_t cl = lower.find("content-length:");
   if (cl != std::string::npos) {
-    body_len = static_cast<size_t>(
-        std::atoll(head.c_str() + cl + sizeof("content-length:") - 1));
+    const size_t start = cl + sizeof("content-length:") - 1;
+    const size_t eol = head.find("\r\n", start);
+    ERQ_ASSIGN_OR_RETURN(
+        body_len,
+        ParseDecimal(StripWhitespace(head_view.substr(start, eol - start)),
+                     SIZE_MAX - (header_end + 4)));
   }
   const size_t total = header_end + 4 + body_len;
   while (buffer.size() < total) {

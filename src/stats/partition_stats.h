@@ -3,11 +3,10 @@
 /// \file
 /// Zone-map refutation: deciding from a partition's per-column summaries
 /// (catalog/partition.h) that no row of the partition can satisfy a
-/// conjunctive scan condition. This is the data-skipping half of
-/// partition-granular emptiness (DESIGN.md §"Partitioning & data
-/// skipping"); the knowledge-driven half lives in the C_aqp cache under
-/// partition-tagged relation names. Also provides the optimizer-facing
-/// survivor estimate that feeds the C_cost gate for partitioned scans.
+/// conjunctive scan condition — the only evidence a table scan uses to
+/// skip partitions (DESIGN.md §"Partitioning & data skipping"). Also
+/// provides the optimizer-facing survivor estimate that feeds the C_cost
+/// gate for partitioned scans.
 
 #include <string>
 

@@ -95,6 +95,26 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_TRUE(EqualsIgnoreCase("", ""));
 }
 
+TEST(StringUtilTest, ParseDecimalAcceptsDigitsUpToMax) {
+  EXPECT_EQ(ParseDecimal("0", 10).value(), 0u);
+  EXPECT_EQ(ParseDecimal("0042", 100).value(), 42u);
+  EXPECT_EQ(ParseDecimal("65535", 65535).value(), 65535u);
+  EXPECT_EQ(ParseDecimal("18446744073709551615", UINT64_MAX).value(),
+            UINT64_MAX);
+}
+
+TEST(StringUtilTest, ParseDecimalRejectsJunkAndOverflow) {
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1.5"}) {
+    StatusOr<uint64_t> v = ParseDecimal(bad, UINT64_MAX);
+    ASSERT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.status().code(), StatusCode::kParseError) << bad;
+  }
+  EXPECT_FALSE(ParseDecimal("70000", 65535).ok());
+  EXPECT_FALSE(ParseDecimal("7", 5).ok());  // one digit above a small max
+  EXPECT_FALSE(ParseDecimal("18446744073709551616", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseDecimal("99999999999999999999999", UINT64_MAX).ok());
+}
+
 TEST(HashTest, Mix64SpreadsBits) {
   EXPECT_NE(Mix64(1), Mix64(2));
   EXPECT_NE(Mix64(0), 0u);

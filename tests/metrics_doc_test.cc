@@ -96,19 +96,14 @@ void ExerciseAllModules() {
   ASSERT_TRUE(manager.Query("select * from A where a > 100").ok());
   ASSERT_TRUE(manager.Query("select * from A where a > 100").ok());
 
-  // Partition pruning: a selective query over a partitioned table and an
-  // insert into it touch the erq.exec.partitions.* and
-  // erq.caqp.partition.* instrument groups.
+  // Partition pruning: a selective query over a partitioned table
+  // touches the erq.exec.partitions.* instrument group.
   PartitionScheme scheme;
   scheme.kind = PartitionScheme::Kind::kRange;
   scheme.key_column = "a";
   scheme.range_bounds = {Value::Int(15)};
   ASSERT_TRUE(db.catalog().SetPartitioning("A", std::move(scheme)).ok());
   ASSERT_TRUE(manager.Query("select * from A where a < 12").ok());
-  ASSERT_TRUE(db.catalog()
-                  .AppendRows("A", {{Value::Int(30), Value::Int(300),
-                                     Value::Int(0)}})
-                  .ok());
 
   // Reuse store: a harvested-then-spliced selective scan registers the
   // erq.reuse.* counter and gauge groups.

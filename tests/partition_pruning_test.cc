@@ -1,9 +1,7 @@
 // End-to-end partition pruning through the managed pipeline: zone-map
-// data skipping inside non-empty queries, (relation, partition) knowledge
-// reuse from C_aqp, partition-granular invalidation, persistence of
-// tagged parts, and result parity against the partitions=1 ablation.
-
-#include <unistd.h>
+// data skipping inside non-empty queries, C_aqp staying free of
+// partition knowledge, and result parity against the partitions=1
+// ablation.
 
 #include <cstdio>
 #include <string>
@@ -12,9 +10,6 @@
 #include "catalog/catalog.h"
 #include "core/manager.h"
 #include "gtest/gtest.h"
-#include "persist/io.h"
-#include "persist/journal.h"
-#include "persist/snapshot.h"
 #include "test_util.h"
 #include "workload/tpcr.h"
 
@@ -29,9 +24,8 @@ using ::erq::testing::FixtureDb;
 //   else   -> p == 0 ? 550 : 200 + o     (only partition 0 has prices in
 //                                         the [500, 600] band)
 // Each partition sees 25 distinct prices, past the default distinct cap of
-// 16, so the summaries overflow: zone maps alone can never refute a probe
-// inside [0, 1000] — any pruning of a mid-range price predicate must come
-// from stored (relation, partition) knowledge.
+// 16, so the summaries overflow: zone maps can never refute a probe
+// inside [0, 1000].
 int64_t ItemPrice(int64_t id) {
   int64_t p = id / 25, o = id % 25;
   if (o == 0) return 0;
@@ -94,14 +88,14 @@ TEST_F(PartitionPruningTest, PruningDisabledScansEverything) {
   EXPECT_EQ(outcome.partitions_pruned, 0u);
 }
 
-TEST_F(PartitionPruningTest, StoredPartitionKnowledgePrunesLaterQuery) {
+TEST_F(PartitionPruningTest, NonEmptyQueryStoresNothing) {
   EmptyResultManager manager(&catalog_, &stats_);
   ERQ_ASSERT_OK(manager.init_status());
 
   // q1: mid-range price band. Zone maps cannot refute any partition (all
   // span [0, 1000] with overflowed distinct summaries), so all four are
-  // scanned — and the three with zero matches are recorded as
-  // ({items@k}, price in [500, 600]) parts, though q1 is non-empty.
+  // scanned. Three of them hold no matching row, but q1 is non-empty, so
+  // C_aqp records nothing.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q1,
       manager.Query(
@@ -109,42 +103,17 @@ TEST_F(PartitionPruningTest, StoredPartitionKnowledgePrunesLaterQuery) {
   EXPECT_EQ(q1.result_rows, 23u);  // partition 0, offsets 2..24
   EXPECT_EQ(q1.partitions_scanned, 4u);
   EXPECT_EQ(q1.partitions_pruned, 0u);
-  EXPECT_EQ(q1.partition_aqps_recorded, 3u);
+  EXPECT_EQ(manager.detector().cache().size(), 0u);
 
-  // q2: a narrower band, covered by the stored facts (Theorem 2 at
-  // (relation, partition) granularity). Three partitions skip without
-  // being read; the result is unchanged.
+  // q2: a narrower band. Nothing was stored, so every partition is read
+  // again; the result is unchanged.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q2,
       manager.Query(
           "SELECT id FROM items WHERE price >= 520 AND price <= 580"));
   EXPECT_EQ(q2.result_rows, 23u);
-  EXPECT_EQ(q2.partitions_scanned, 1u);
-  EXPECT_EQ(q2.partitions_pruned, 3u);
-}
-
-TEST_F(PartitionPruningTest, InsertInvalidatesOnlyTouchedPartition) {
-  EmptyResultManager manager(&catalog_, &stats_);
-  ERQ_ASSERT_OK(manager.init_status());
-
-  ERQ_ASSERT_OK_AND_ASSIGN(
-      QueryOutcome q1,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 500 AND price <= 600"));
-  ASSERT_EQ(q1.partition_aqps_recorded, 3u);
-
-  // Insert one row into partition 2 (id 60) inside the recorded band:
-  // partition 2's fact must go, partitions 1 and 3 keep theirs.
-  ERQ_ASSERT_OK(catalog_.AppendRows(
-      "items", {{Value::Int(60), Value::Int(555)}}));
-
-  ERQ_ASSERT_OK_AND_ASSIGN(
-      QueryOutcome q2,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 520 AND price <= 580"));
-  EXPECT_EQ(q2.result_rows, 24u);  // the new row matches too
-  EXPECT_EQ(q2.partitions_scanned, 2u);  // partitions 0 and 2
-  EXPECT_EQ(q2.partitions_pruned, 2u);   // partitions 1 and 3, from C_aqp
+  EXPECT_EQ(q2.partitions_scanned, 4u);
+  EXPECT_EQ(q2.partitions_pruned, 0u);
 }
 
 TEST_F(PartitionPruningTest, PrunedScanReturnsIdenticalRows) {
@@ -194,38 +163,6 @@ TEST_F(PartitionPruningTest, PrunedScanReturnsIdenticalRows) {
       }
     }
   }
-}
-
-TEST_F(PartitionPruningTest, PartitionFactsSurviveRestart) {
-  std::string dir = ::testing::TempDir() + "erq_partition_persist";
-  // Fresh directory: leftover state from a previous run would pre-seed
-  // the first manager's C_aqp and skew the recorded-count assertion.
-  (void)RemoveFileIfExists(dir + "/" + kJournalFileName);
-  (void)RemoveFileIfExists(dir + "/" + kSnapshotFileName);
-  ::rmdir(dir.c_str());
-  EmptyResultConfig config;
-  config.persist.dir = dir;
-
-  {
-    EmptyResultManager manager(&catalog_, &stats_, config);
-    ERQ_ASSERT_OK(manager.init_status());
-    ERQ_ASSERT_OK_AND_ASSIGN(
-        QueryOutcome q1,
-        manager.Query(
-            "SELECT id FROM items WHERE price >= 500 AND price <= 600"));
-    ASSERT_EQ(q1.partition_aqps_recorded, 3u);
-  }
-
-  // A new process (manager) over the same data recovers the tagged parts
-  // and prunes immediately, before re-observing anything.
-  EmptyResultManager manager(&catalog_, &stats_, config);
-  ERQ_ASSERT_OK(manager.init_status());
-  ERQ_ASSERT_OK_AND_ASSIGN(
-      QueryOutcome q2,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 520 AND price <= 580"));
-  EXPECT_EQ(q2.result_rows, 23u);
-  EXPECT_EQ(q2.partitions_pruned, 3u);
 }
 
 TEST(PartitionTpcr, SelectiveQuerySkipsPartitionsWithIdenticalResults) {

@@ -1,5 +1,5 @@
 // Unit tests for the horizontal-partitioning layer: schemes, zone maps,
-// partition-tagged names, table maintenance, and zone-map refutation.
+// table maintenance, and zone-map refutation.
 
 #include "catalog/partition.h"
 
@@ -87,26 +87,6 @@ TEST(PartitionScheme, HashPartitionOfIsDeterministicAndInRange) {
     EXPECT_EQ(p, s.PartitionOf(Value::Int(i)));  // pure function of the key
   }
   EXPECT_EQ(s.PartitionOf(Value::Null()), 0u);
-}
-
-TEST(PartitionNames, RoundTrip) {
-  std::string name = MakePartitionName("orders", 7);
-  EXPECT_EQ(name, "orders@7");
-  std::string base;
-  size_t k = 99;
-  ASSERT_TRUE(SplitPartitionName(name, &base, &k));
-  EXPECT_EQ(base, "orders");
-  EXPECT_EQ(k, 7u);
-}
-
-TEST(PartitionNames, RejectsUntaggedAndMalformed) {
-  std::string base;
-  size_t k = 0;
-  EXPECT_FALSE(SplitPartitionName("orders", &base, &k));
-  EXPECT_FALSE(SplitPartitionName("orders@", &base, &k));
-  EXPECT_FALSE(SplitPartitionName("orders@x", &base, &k));
-  EXPECT_FALSE(SplitPartitionName("@3", &base, &k));
-  EXPECT_FALSE(SplitPartitionName("", &base, &k));
 }
 
 TEST(StableHash, EqualValuesHashEqual) {

@@ -643,6 +643,46 @@ TEST_F(PersistTest, LegacyMvRecordsAreSkippedOnReplay) {
             (std::set<std::string>{first, second}));
 }
 
+TEST_F(PersistTest, LegacyPartitionFactsAreDroppedOnRecovery) {
+  // Older builds stored per-partition facts over "base@k"
+  // pseudo-relations. Recovery drops them and keeps every ordinary part;
+  // the attach-time compaction then leaves them out of the snapshot.
+  PersistOptions options;
+  options.dir = dir_;
+  AtomicQueryPart legacy(
+      RelationSet({"items@2"}),
+      Conjunction::Make({PrimitiveTerm::MakeInterval(
+          ColumnId::Make("items@2", "price"),
+          ValueInterval::Range(Value::Int(500), true, Value::Int(600),
+                               true))}));
+  ERQ_ASSERT_OK_AND_ASSIGN(std::string ordinary, SerializePart(PointPart(7)));
+  {
+    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
+                             Persistence::Open(options));
+    CaqpCache cache(100);
+    ERQ_ASSERT_OK(p->AttachCaqp(&cache));
+    cache.Insert(legacy);
+    cache.Insert(PointPart(7));
+    ASSERT_EQ(cache.size(), 2u);
+  }
+  {
+    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
+                             Persistence::Open(options));
+    EXPECT_EQ(p->recovered().truncated_bytes, 0u);
+    EXPECT_EQ(p->recovered().journal_records, 2u);
+    EXPECT_EQ(SerializedSet(p->recovered().parts),
+              (std::set<std::string>{ordinary}));
+    CaqpCache cache(100);
+    ERQ_ASSERT_OK(p->AttachCaqp(&cache));
+    EXPECT_EQ(cache.size(), 1u);
+  }
+  ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
+                           Persistence::OpenReadOnly(options));
+  EXPECT_EQ(p->recovered().snapshot_records, 1u);
+  EXPECT_EQ(SerializedSet(p->recovered().parts),
+            (std::set<std::string>{ordinary}));
+}
+
 TEST_F(PersistTest, StickyIoErrorStopsJournalingButNotTheCache) {
   PersistOptions options;
   options.dir = dir_;

@@ -118,6 +118,36 @@ TEST(HttpUnitTest, HttpStatusFromStatus) {
   EXPECT_EQ(HttpStatusFromStatus(Status::IoError("x")), 500);
 }
 
+/// Feeds `raw` to ReadHttpResponse over a loopback connection.
+Status ReadRawResponse(const std::string& raw, int* code, std::string* body) {
+  ERQ_ASSIGN_OR_RETURN(Listener listener, Listener::Bind("127.0.0.1", 0));
+  ERQ_ASSIGN_OR_RETURN(Socket client,
+                       Socket::Connect("127.0.0.1", listener.port()));
+  ERQ_ASSIGN_OR_RETURN(Socket peer, listener.Accept());
+  ERQ_RETURN_IF_ERROR(peer.SendAll(raw));
+  peer.Shutdown();
+  return ReadHttpResponse(&client, code, body);
+}
+
+TEST(HttpUnitTest, ReadHttpResponseParsesStrictDecimals) {
+  int code = 0;
+  std::string body;
+  ERQ_ASSERT_OK(ReadRawResponse(
+      "HTTP/1.1 201 Created\r\nContent-Length: 2\r\n\r\nok", &code, &body));
+  EXPECT_EQ(code, 201);
+  EXPECT_EQ(body, "ok");
+
+  // A negative length used to wrap to a huge size_t, and trailing junk
+  // used to be ignored; both are now a ParseError, as is a junk status.
+  for (const char* raw :
+       {"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\nok",
+        "HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\nok",
+        "HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\nok"}) {
+    Status s = ReadRawResponse(raw, &code, &body);
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << raw << ": " << s.ToString();
+  }
+}
+
 TEST(TenantRegistryTest, NameValidation) {
   EXPECT_TRUE(TenantRegistry::IsValidTenantName("a"));
   EXPECT_TRUE(TenantRegistry::IsValidTenantName("tenant_07"));

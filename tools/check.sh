@@ -98,6 +98,16 @@ print("partition smoke: OK (%d partitions pruned, %d scanned)"
   else
     bad "plain (partition pruning smoke)"
   fi
+  # Integer flags are strict decimals: a negative partition count is a
+  # usage error (exit 2), not a huge size_t.
+  log "plain: metrics_dump --partitions -1 usage-error smoke"
+  "$dir/tools/metrics_dump" --partitions -1 >/dev/null 2>&1
+  local rc=$?
+  if [[ $rc -eq 2 ]]; then
+    ok "plain (metrics_dump bad flag value)"
+  else
+    bad "plain (metrics_dump bad flag value: exit $rc, want 2)"
+  fi
   # Reuse smoke: with the intermediate-result store on, the canned query
   # pair inside metrics_dump must harvest then splice — the binary itself
   # fails on zero spliced subtrees, and the emitted registry dump must

@@ -13,12 +13,13 @@
 // Runs until stdin reaches EOF or a `quit` line — a driver (check.sh's
 // server smoke) shuts it down cleanly by closing the pipe.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <map>
 #include <string>
 
+#include "common/string_util.h"
 #include "server/server.h"
 #include "workload/tpcr.h"
 
@@ -32,6 +33,8 @@ void PrintUsage(const char* argv0) {
                "          [--max-tenants N] [--global-n-max N]\n"
                "          [--customers-per-unit N] [--enable-reuse]\n"
                "          [--global-reuse-bytes N]\n"
+               "N is an unsigned decimal integer (--port: at most 65535,\n"
+               "--customers-per-unit: at most 1000000).\n"
                "--enable-reuse turns on the per-tenant intermediate-result\n"
                "store (DESIGN.md §13); --global-reuse-bytes is the budget\n"
                "split evenly across tenants (default 64 MiB).\n"
@@ -45,6 +48,20 @@ int main(int argc, char** argv) {
   ServerOptions options;
   options.port = 8080;
   size_t customers_per_unit = 500;
+  // The flags besides --port that take an unsigned decimal integer, with
+  // their upper bounds. The --customers-per-unit bound keeps BuildTpcr's
+  // row counts (40 lineitems per customer) far from overflow.
+  struct SizeFlag {
+    size_t* target;
+    uint64_t max;
+  };
+  const std::map<std::string, SizeFlag> size_flags = {
+      {"--max-connections", {&options.max_connections, SIZE_MAX}},
+      {"--max-tenants", {&options.max_tenants, SIZE_MAX}},
+      {"--global-n-max", {&options.global_n_max, SIZE_MAX}},
+      {"--global-reuse-bytes", {&options.global_reuse_bytes, SIZE_MAX}},
+      {"--customers-per-unit", {&customers_per_unit, 1000000}},
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -63,18 +80,21 @@ int main(int argc, char** argv) {
     }
     if (arg == "--host") {
       options.host = value;
-    } else if (arg == "--port") {
-      options.port = static_cast<uint16_t>(std::atoi(value));
-    } else if (arg == "--max-connections") {
-      options.max_connections = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--max-tenants") {
-      options.max_tenants = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--global-n-max") {
-      options.global_n_max = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--global-reuse-bytes") {
-      options.global_reuse_bytes = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--customers-per-unit") {
-      customers_per_unit = static_cast<size_t>(std::atoll(value));
+    } else if (arg == "--port" || size_flags.count(arg) != 0) {
+      const bool port = arg == "--port";
+      StatusOr<uint64_t> n =
+          ParseDecimal(value, port ? UINT16_MAX : size_flags.at(arg).max);
+      if (!n.ok()) {
+        std::fprintf(stderr, "bad value for %s: %s\n", arg.c_str(),
+                     n.status().ToString().c_str());
+        PrintUsage(argv[0]);
+        return 2;
+      }
+      if (port) {
+        options.port = static_cast<uint16_t>(*n);
+      } else {
+        *size_flags.at(arg).target = static_cast<size_t>(*n);
+      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       PrintUsage(argv[0]);

@@ -10,14 +10,16 @@
 //                  (the only trace currently defined; default)
 //   --json         print the metrics JSON document to stdout (default
 //                  prints a short human summary followed by the JSON)
-//   --queries N    trace length (default 500 — a few seconds of work)
+//   --queries N    trace length, at most 1000000 (default 500 — a few
+//                  seconds of work)
 //   --persist-dir D  enable crash-safe C_aqp persistence in directory D
 //                  (exercises the erq.persist.* instruments; the summary
 //                  reports parts recovered from a previous run and parts
 //                  skipped as unserializable)
-//   --partitions K  range-partition the TPC-R tables K ways (K > 1) and
-//                  skip index builds so selective predicates plan as
-//                  table scans — the shape partition pruning applies to.
+//   --partitions K  range-partition the TPC-R tables K ways
+//                  (1 < K <= 1024) and skip index builds so selective
+//                  predicates plan as table scans — the shape partition
+//                  pruning applies to.
 //                  After the trace, a canned selective orderkey query
 //                  runs and the tool fails unless it pruned partitions,
 //                  so the erq.exec.partitions.* counters in the dump are
@@ -30,13 +32,14 @@
 //                  erq.reuse.* counters in the dump are provably
 //                  exercised (the check.sh plain-job smoke).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "core/manager.h"
 #include "core/query_api.h"
 #include "core/serialize.h"
@@ -45,12 +48,30 @@
 namespace erq {
 namespace {
 
+// Upper bounds of the integer flags: GenerateCrmTrace builds the whole
+// trace in memory and BuildTpcr allocates per-partition state for every
+// table, both up front.
+constexpr uint64_t kMaxQueries = 1000000;
+constexpr uint64_t kMaxPartitions = 1024;
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--trace tpcr] [--json] [--queries N] "
-               "[--persist-dir D] [--partitions K] [--reuse]\n",
-               argv0);
+               "[--persist-dir D] [--partitions K] [--reuse]\n"
+               "N and K are decimal integers, 1 <= N <= %llu and "
+               "1 <= K <= %llu.\n",
+               argv0, static_cast<unsigned long long>(kMaxQueries),
+               static_cast<unsigned long long>(kMaxPartitions));
   return 2;
+}
+
+// Parses the value of an integer flag into `out`; false when it is not a
+// decimal integer in [1, max].
+bool ParseCount(const char* value, uint64_t max, size_t* out) {
+  StatusOr<uint64_t> n = ParseDecimal(value, max);
+  if (!n.ok() || *n == 0) return false;
+  *out = static_cast<size_t>(*n);
+  return true;
 }
 
 int RunTpcrTrace(size_t total_queries, bool json_only,
@@ -220,18 +241,20 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace = argv[++i];
     } else if (std::strcmp(argv[i], "--queries") == 0 && i + 1 < argc) {
-      total_queries = static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseCount(argv[++i], kMaxQueries, &total_queries)) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--persist-dir") == 0 && i + 1 < argc) {
       persist_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--partitions") == 0 && i + 1 < argc) {
-      partitions = static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseCount(argv[++i], kMaxPartitions, &partitions)) {
+        return Usage(argv[0]);
+      }
     } else {
       return Usage(argv[0]);
     }
   }
-  if (trace != "tpcr" || total_queries == 0 || partitions == 0) {
-    return Usage(argv[0]);
-  }
+  if (trace != "tpcr") return Usage(argv[0]);
   return RunTpcrTrace(total_queries, json_only, persist_dir, partitions,
                       reuse);
 }
