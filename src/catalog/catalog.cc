@@ -124,12 +124,7 @@ StatusOr<size_t> Catalog::DeleteRows(const std::string& table_name,
 Status Catalog::SetPartitioning(const std::string& table_name,
                                 PartitionScheme scheme) {
   ERQ_ASSIGN_OR_RETURN(Table * table, GetTable(table_name));
-  ERQ_RETURN_IF_ERROR(table->SetPartitioning(std::move(scheme)));
-  TableUpdateEvent event;
-  event.kind = TableUpdateEvent::Kind::kGeneric;
-  event.table_name = table->name();
-  Fire(event);
-  return Status::OK();
+  return table->SetPartitioning(std::move(scheme));
 }
 
 void Catalog::NotifyUpdate(const std::string& table_name) {

@@ -73,8 +73,10 @@ class Catalog {
   StatusOr<size_t> DeleteRows(const std::string& table_name,
                               std::function<bool(const Row&)> pred);
 
-  /// Declares (or clears) horizontal partitioning on a table and fires a
-  /// kGeneric event, as for any other change to the table.
+  /// Declares (or clears) horizontal partitioning on a table. Fires no
+  /// update event: repartitioning moves no row, so no stored emptiness
+  /// fact or reused result goes stale. The table rebuilds its own
+  /// partition snapshot and bumps its version.
   Status SetPartitioning(const std::string& table_name,
                          PartitionScheme scheme);
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <iterator>
+#include <string_view>
 
+#include "common/hash.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 
@@ -14,6 +17,23 @@ namespace {
 constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 constexpr std::memory_order kAcquire = std::memory_order_acquire;
 constexpr std::memory_order kAcqRel = std::memory_order_acq_rel;
+
+/// The run of key-sorted `postings` under `key`, or under every key of
+/// `key`'s column when `whole_column`.
+template <typename Posting, typename Key>
+std::pair<typename std::vector<Posting>::const_iterator,
+          typename std::vector<Posting>::const_iterator>
+KeyRun(const std::vector<Posting>& postings, const Key& key,
+       bool whole_column) {
+  auto before = [whole_column](const Posting& p, const Key& k) {
+    return whole_column ? p.key.column < k.column : p.key < k;
+  };
+  auto after = [whole_column](const Key& k, const Posting& p) {
+    return whole_column ? k.column < p.key.column : k < p.key;
+  };
+  return {std::lower_bound(postings.begin(), postings.end(), key, before),
+          std::upper_bound(postings.begin(), postings.end(), key, after)};
+}
 
 }  // namespace
 
@@ -53,11 +73,106 @@ CaqpCache::~CaqpCache() {
 }
 
 // ---------------------------------------------------------------------------
+// In-entry index
+// ---------------------------------------------------------------------------
+
+std::vector<CaqpCache::TermKey> CaqpCache::KeysOf(
+    const Conjunction& condition) {
+  std::vector<TermKey> keys;
+  for (const PrimitiveTerm& term : condition.terms()) {
+    if (term.kind() != PrimitiveTerm::Kind::kInterval) continue;
+    const Value* point = term.interval().PointValue();
+    if (point == nullptr && !term.interval().IsEmpty()) continue;
+    std::string_view base = term.column().relation;
+    base = base.substr(0, base.find('#'));
+    size_t column = std::hash<std::string_view>{}(base);
+    HashCombine(&column, term.column().column);
+    keys.push_back({column, point != nullptr ? point->Hash() : kAnyValue});
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+CaqpCache::EntryItems* CaqpCache::EntryItems::WithAdded(
+    const EntryItems& prev, PubItemPtr part,
+    const std::vector<TermKey>& keys) {
+  auto* next = new EntryItems;
+  const auto index = static_cast<uint32_t>(prev.parts.size());
+  next->parts.reserve(prev.parts.size() + 1);
+  next->parts.insert(next->parts.end(), prev.parts.begin(), prev.parts.end());
+  next->parts.push_back(std::move(part));
+
+  // Anchor under the point key whose bucket is smallest, so one hot value
+  // does not gather the entry's parts when a rarer key is at hand.
+  const TermKey* anchor = nullptr;
+  size_t anchor_bucket = 0;
+  for (const TermKey& key : keys) {
+    if (key.value == kAnyValue) continue;
+    auto [lo, hi] = KeyRun(prev.anchors, key, false);
+    const auto bucket = static_cast<size_t>(hi - lo);
+    if (anchor == nullptr || bucket < anchor_bucket) {
+      anchor = &key;
+      anchor_bucket = bucket;
+    }
+  }
+  next->residual = prev.residual;
+  if (anchor == nullptr) {
+    next->residual.push_back(index);
+    next->anchors = prev.anchors;
+  } else {
+    // `index` exceeds every stored one, so it ends its key's run.
+    auto pos = KeyRun(prev.anchors, *anchor, false).second;
+    next->anchors.reserve(prev.anchors.size() + 1);
+    next->anchors.insert(next->anchors.end(), prev.anchors.begin(), pos);
+    next->anchors.push_back({*anchor, index});
+    next->anchors.insert(next->anchors.end(), pos, prev.anchors.end());
+  }
+
+  std::vector<Posting> added;
+  added.reserve(keys.size());
+  for (const TermKey& key : keys) added.push_back({key, index});
+  next->terms.reserve(prev.terms.size() + added.size());
+  std::merge(prev.terms.begin(), prev.terms.end(), added.begin(), added.end(),
+             std::back_inserter(next->terms),
+             [](const Posting& a, const Posting& b) {
+               return a.key < b.key || (a.key == b.key && a.part < b.part);
+             });
+  return next;
+}
+
+CaqpCache::EntryItems* CaqpCache::EntryItems::WithRemoved(
+    const EntryItems& prev, const std::vector<bool>& drop) {
+  auto* next = new EntryItems;
+  // Kept parts are renumbered in order, which keeps every array sorted.
+  std::vector<uint32_t> renumber(prev.parts.size());
+  next->parts.reserve(prev.parts.size());
+  for (size_t i = 0; i < prev.parts.size(); ++i) {
+    if (drop[i]) continue;
+    renumber[i] = static_cast<uint32_t>(next->parts.size());
+    next->parts.push_back(prev.parts[i]);
+  }
+  auto keep = [&](const std::vector<Posting>& in, std::vector<Posting>* out) {
+    out->reserve(in.size());
+    for (const Posting& p : in) {
+      if (!drop[p.part]) out->push_back({p.key, renumber[p.part]});
+    }
+  };
+  keep(prev.anchors, &next->anchors);
+  keep(prev.terms, &next->terms);
+  for (uint32_t i : prev.residual) {
+    if (!drop[i]) next->residual.push_back(renumber[i]);
+  }
+  return next;
+}
+
+// ---------------------------------------------------------------------------
 // Read path
 // ---------------------------------------------------------------------------
 
 bool CaqpCache::EntryCovers(const PublishedEntry& entry,
                             const AtomicQueryPart& aqp,
+                            const std::vector<TermKey>& keys,
                             const RelationSignature& query_sig,
                             LookupWork* work) const {
   ++work->candidates;
@@ -69,24 +184,41 @@ bool CaqpCache::EntryCovers(const PublishedEntry& entry,
     return false;
   }
   if (!entry.relations.IsSubsetOf(aqp.relations())) return false;
-  const ItemVec* items = entry.items.load(kAcquire);
-  for (const PubItemPtr& part : *items) {
+  const EntryItems& items = *entry.items.load(kAcquire);
+  auto covers = [&](uint32_t i) {
     ++work->conditions;
-    if (part->aqp.Covers(aqp)) {
-      part->ref.store(true, kRelaxed);
-      return true;
+    const PubItem& part = *items.parts[i];
+    if (!part.aqp.Covers(aqp)) return false;
+    part.ref.store(true, kRelaxed);
+    return true;
+  };
+  for (uint32_t i : items.residual) {
+    if (covers(i)) return true;
+  }
+  // A stored point term covers only a probe term pinned to the same value
+  // or an inverted one on its column, so a covering anchored part sits
+  // under one of the probe's keys. A column-wide key sorts first in its
+  // column and takes the whole column, subsuming the point keys after it.
+  const TermKey* wide = nullptr;
+  for (const TermKey& key : keys) {
+    if (wide != nullptr && key.column == wide->column) continue;
+    if (key.value == kAnyValue) wide = &key;
+    auto [lo, hi] = KeyRun(items.anchors, key, key.value == kAnyValue);
+    for (auto it = lo; it != hi; ++it) {
+      if (covers(it->part)) return true;
     }
   }
   return false;
 }
 
 bool CaqpCache::FindCovering(const Index& index, const AtomicQueryPart& aqp,
+                             const std::vector<TermKey>& keys,
                              const RelationSignature& query_sig,
                              LookupWork* work) const {
   // The entry over the empty relation set (a TRUE-on-nothing part) is a
   // subset of every probe and posts nowhere.
   if (index.empty_rel_entry != nullptr &&
-      EntryCovers(*index.empty_rel_entry, aqp, query_sig, work)) {
+      EntryCovers(*index.empty_rel_entry, aqp, keys, query_sig, work)) {
     return true;
   }
   // A stored set ⊆ probe set contains its own first name, which is one of
@@ -97,7 +229,7 @@ bool CaqpCache::FindCovering(const Index& index, const AtomicQueryPart& aqp,
     if (it == index.postings.end()) continue;
     work->postings += it->second.size();
     for (const PublishedEntry* entry : it->second) {
-      if (EntryCovers(*entry, aqp, query_sig, work)) return true;
+      if (EntryCovers(*entry, aqp, keys, query_sig, work)) return true;
     }
   }
   return false;
@@ -105,11 +237,13 @@ bool CaqpCache::FindCovering(const Index& index, const AtomicQueryPart& aqp,
 
 bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
   RelationSignature query_sig = RelationSignature::Of(aqp.relations());
+  const std::vector<TermKey> keys = KeysOf(aqp.condition());
   LookupWork work;
   bool hit;
   {
     EpochReadGuard guard(&epoch_);
-    hit = FindCovering(*published_.load(kAcquire), aqp, query_sig, &work);
+    hit = FindCovering(*published_.load(kAcquire), aqp, keys, query_sig,
+                       &work);
   }
   // Counted after the epoch section, which stays as short as the search:
   // a pinned epoch holds back reclamation for every writer.
@@ -151,15 +285,11 @@ std::vector<size_t> CaqpCache::SupersetCandidatesLocked(
   return out;
 }
 
-void CaqpCache::RepublishEntryItemsLocked(Entry& entry) {
-  auto* vec = new ItemVec;
-  vec->reserve(entry.items.size());
-  for (size_t slot : entry.items) vec->push_back(slots_[slot].part);
-  const ItemVec* old = entry.pub->items.exchange(vec, kAcqRel);
-  if (old != nullptr) {
-    epoch_.Retire([old] { delete old; });
-    metrics_.epoch_retired->Increment();
-  }
+void CaqpCache::RepublishEntryItemsLocked(Entry& entry,
+                                          const EntryItems* next) {
+  const EntryItems* old = entry.pub->items.exchange(next, kAcqRel);
+  epoch_.Retire([old] { delete old; });
+  metrics_.epoch_retired->Increment();
 }
 
 void CaqpCache::RebuildIndexLocked() {
@@ -185,6 +315,7 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
   metrics_.insert_attempts->Increment();
   if (n_max_ == 0) return;
   RelationSignature new_sig = RelationSignature::Of(aqp.relations());
+  const std::vector<TermKey> keys = KeysOf(aqp.condition());
   MutexLock lock(&mu_);
 
   // Keep only the most general parts. First: is the new part redundant?
@@ -192,7 +323,8 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
   // and cannot be reclaimed under us: no epoch pin is needed. A covering
   // part gets its reference bit set — it proved useful again.
   LookupWork scratch;  // insert-side searches are not lookup statistics
-  if (FindCovering(*published_.load(kRelaxed), aqp, new_sig, &scratch)) {
+  if (FindCovering(*published_.load(kRelaxed), aqp, keys, new_sig,
+                   &scratch)) {
     metrics_.skipped_covered->Increment();
     return;
   }
@@ -206,11 +338,7 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
         !aqp.relations().IsSubsetOf(entry.relations)) {
       continue;
     }
-    membership_changed |= RemoveItemsIfLocked(
-        id, RemoveReason::kDisplaced,
-        [&aqp](const AtomicQueryPart& stored) {
-          return aqp.Covers(stored);
-        });
+    membership_changed |= DisplaceCoveredLocked(id, aqp, keys);
   }
 
   // Capacity: make room first, so N_max holds at every instant.
@@ -238,7 +366,9 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
   live_.fetch_add(1, kRelaxed);
   metrics_.inserted->Increment();
   metrics_.size->Add(1);
-  RepublishEntryItemsLocked(entry);
+  RepublishEntryItemsLocked(
+      entry,
+      EntryItems::WithAdded(*entry.pub->items.load(kRelaxed), item.part, keys));
   if (membership_changed || created) RebuildIndexLocked();
   if (listener_ != nullptr) listener_->OnInsert(aqp);
 }
@@ -261,15 +391,11 @@ bool CaqpCache::EvictOneLocked() {
     }
     const size_t victim = clock_hand_++;
     const size_t entry_idx = item.entry_index;
-    Entry& entry = entries_[entry_idx];
-    entry.items.erase(
-        std::find(entry.items.begin(), entry.items.end(), victim));
-    ReleaseSlotLocked(victim, RemoveReason::kEvicted);
-    if (entry.items.empty()) {
-      RemoveEntryLocked(entry_idx);
+    const std::vector<size_t>& items = entries_[entry_idx].items;
+    std::vector<bool> drop(items.size(), false);
+    drop[std::find(items.begin(), items.end(), victim) - items.begin()] = true;
+    if (RemoveItemsLocked(entry_idx, RemoveReason::kEvicted, drop)) {
       RebuildIndexLocked();
-    } else {
-      RepublishEntryItemsLocked(entry);
     }
     return true;
   }
@@ -307,27 +433,70 @@ void CaqpCache::ReleaseSlotLocked(size_t slot, RemoveReason reason) {
   }
 }
 
-bool CaqpCache::RemoveItemsIfLocked(
-    size_t idx, RemoveReason reason,
-    const std::function<bool(const AtomicQueryPart&)>& pred) {
+bool CaqpCache::RemoveItemsLocked(size_t idx, RemoveReason reason,
+                                  const std::vector<bool>& drop) {
+  if (std::find(drop.begin(), drop.end(), true) == drop.end()) return false;
   Entry& entry = entries_[idx];
   std::vector<size_t> kept;
   kept.reserve(entry.items.size());
-  for (size_t slot : entry.items) {
-    if (pred(slots_[slot].part->aqp)) {
-      ReleaseSlotLocked(slot, reason);
+  for (size_t i = 0; i < entry.items.size(); ++i) {
+    if (drop[i]) {
+      ReleaseSlotLocked(entry.items[i], reason);
     } else {
-      kept.push_back(slot);
+      kept.push_back(entry.items[i]);
     }
   }
-  if (kept.size() == entry.items.size()) return false;
   entry.items = std::move(kept);
   if (entry.items.empty()) {
     RemoveEntryLocked(idx);
     return true;
   }
-  RepublishEntryItemsLocked(entry);
+  RepublishEntryItemsLocked(
+      entry, EntryItems::WithRemoved(*entry.pub->items.load(kRelaxed), drop));
   return false;
+}
+
+bool CaqpCache::RemoveItemsIfLocked(
+    size_t idx, RemoveReason reason,
+    const std::function<bool(const AtomicQueryPart&)>& pred) {
+  const std::vector<size_t>& items = entries_[idx].items;
+  std::vector<bool> drop(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    drop[i] = pred(slots_[items[i]].part->aqp);
+  }
+  return RemoveItemsLocked(idx, reason, drop);
+}
+
+bool CaqpCache::DisplaceCoveredLocked(size_t idx, const AtomicQueryPart& aqp,
+                                      const std::vector<TermKey>& keys) {
+  const EntryItems& items = *entries_[idx].pub->items.load(kRelaxed);
+  std::vector<bool> drop(items.parts.size(), false);
+  auto test = [&](uint32_t i) {
+    if (!drop[i]) drop[i] = aqp.Covers(items.parts[i]->aqp);
+  };
+  // A stored part `aqp` covers carries each of `aqp`'s point keys, or an
+  // inverted term on that key's column: the rarest point key's run and
+  // its column-wide run hold every candidate.
+  const TermKey* rarest = nullptr;
+  size_t rarest_run = 0;
+  for (const TermKey& key : keys) {
+    if (key.value == kAnyValue) continue;
+    auto [lo, hi] = KeyRun(items.terms, key, false);
+    const auto run = static_cast<size_t>(hi - lo);
+    if (rarest == nullptr || run < rarest_run) {
+      rarest = &key;
+      rarest_run = run;
+    }
+  }
+  if (rarest == nullptr) {
+    for (uint32_t i = 0; i < items.parts.size(); ++i) test(i);
+  } else {
+    for (const TermKey& key : {*rarest, TermKey{rarest->column, kAnyValue}}) {
+      auto [lo, hi] = KeyRun(items.terms, key, false);
+      for (auto it = lo; it != hi; ++it) test(it->part);
+    }
+  }
+  return RemoveItemsLocked(idx, RemoveReason::kDisplaced, drop);
 }
 
 void CaqpCache::RemoveEntryLocked(size_t idx) {
@@ -383,7 +552,7 @@ size_t CaqpCache::GetOrCreateEntryLocked(const RelationSet& relations,
   entry.pub = std::make_shared<PublishedEntry>();
   entry.pub->relations = relations;
   entry.pub->signature = entry.signature;
-  entry.pub->items.store(new ItemVec, std::memory_order_release);
+  entry.pub->items.store(new EntryItems, std::memory_order_release);
   if (relations.empty()) {
     empty_rel_entry_ = idx;
   } else {
@@ -489,6 +658,9 @@ std::string CaqpCache::Explain() const {
   size_t max_list = 0;
   std::string max_name;
   uint64_t total_list = 0;
+  uint64_t anchored = 0;
+  uint64_t residual = 0;
+  size_t max_bucket = 0;
   {
     MutexLock lock(&mu_);
     for (const auto& [name, list] : postings_) {
@@ -496,6 +668,17 @@ std::string CaqpCache::Explain() const {
       if (list.size() > max_list) {
         max_list = list.size();
         max_name = name;
+      }
+    }
+    for (const Entry& entry : entries_) {
+      if (!entry.alive) continue;
+      const EntryItems& items = *entry.pub->items.load(kRelaxed);
+      anchored += items.anchors.size();
+      residual += items.residual.size();
+      for (auto it = items.anchors.begin(); it != items.anchors.end();) {
+        auto end = KeyRun(items.anchors, it->key, false).second;
+        max_bucket = std::max(max_bucket, static_cast<size_t>(end - it));
+        it = end;
       }
     }
   }
@@ -524,6 +707,13 @@ std::string CaqpCache::Explain() const {
                                          static_cast<double>(s.index_names),
                 static_cast<unsigned long long>(max_list), max_name.c_str());
   out += buf;
+  std::snprintf(buf, sizeof(buf),
+                "point index: %llu anchored, %llu residual, largest key "
+                "bucket %llu\n",
+                static_cast<unsigned long long>(anchored),
+                static_cast<unsigned long long>(residual),
+                static_cast<unsigned long long>(max_bucket));
+  out += buf;
   std::snprintf(
       buf, sizeof(buf),
       "lookups=%llu hits=%llu (%.1f%%); per lookup: postings=%.2f "
@@ -550,8 +740,8 @@ std::vector<AtomicQueryPart> CaqpCache::Snapshot() const {
   EpochReadGuard guard(&epoch_);
   const Index* index = published_.load(kAcquire);
   for (const PublishedEntryPtr& entry : index->entries) {
-    const ItemVec* items = entry->items.load(kAcquire);
-    for (const PubItemPtr& part : *items) out.push_back(part->aqp);
+    const EntryItems* items = entry->items.load(kAcquire);
+    for (const PubItemPtr& part : items->parts) out.push_back(part->aqp);
   }
   return out;
 }

@@ -52,13 +52,20 @@ namespace erq {
 /// stored set ⊆ probe set contains its own first name, so walking the
 /// probe's names visits every candidate exactly once — and the
 /// superimposed-coding signatures [31] remain as a second-level filter
-/// before the exact subset test. Entries whose last stored part is removed
-/// are garbage-collected (index keys and entry slots are reclaimed through
-/// free lists), so churny invalidate/insert workloads cannot grow the
-/// entry table without bound. Replacement is clock (reference bits set on
-/// coverage hits); redundancy is removed by keeping only the most general
-/// parts (covered parts are dropped on insert, and an insert that is
-/// itself covered is skipped).
+/// before the exact subset test. Inside an entry, parts are indexed by
+/// their equality terms: each part is anchored under one key (base table,
+/// column, value hash) of a term pinning a column to a point, and a probe
+/// tests only the parts anchored under its own point keys plus the
+/// residual parts that have no equality term (a stored point term can
+/// cover nothing but a probe term pinned to the same value). Insert
+/// answers its redundancy check through the same lookup, and displacement
+/// tests only the stored parts that carry the new part's equality term.
+/// Entries whose last stored part is removed are garbage-collected (index
+/// keys and entry slots are reclaimed through free lists), so churny
+/// invalidate/insert workloads cannot grow the entry table without bound.
+/// Replacement is clock (reference bits set on coverage hits); redundancy
+/// is removed by keeping only the most general parts (covered parts are
+/// dropped on insert, and an insert that is itself covered is skipped).
 class CaqpCache {
  public:
   /// Why a stored part left the cache (passed to ChangeListener::OnRemove).
@@ -165,7 +172,8 @@ class CaqpCache {
   void ResetStats() { scope_.Reset(); }
 
   /// Human-readable description of the cache internals: occupancy, index
-  /// shape (posting-list fan-out), and per-lookup work averages.
+  /// shape (posting-list fan-out), the in-entry point index (anchored and
+  /// residual parts, largest key bucket) and per-lookup work averages.
   std::string Explain() const ERQ_EXCLUDES(mu_);
 
   /// Copies of all live parts (tests / debugging). Reads the published
@@ -192,19 +200,75 @@ class CaqpCache {
     mutable std::atomic<bool> ref{false};
   };
   using PubItemPtr = std::shared_ptr<PubItem>;
-  using ItemVec = std::vector<PubItemPtr>;
+
+  /// Key of an interval term inside an entry: its column, with the
+  /// occurrence suffix stripped from the relation ("a#2" -> "a", so the
+  /// occurrence remapping of AtomicQueryPart::Covers cannot hide a
+  /// candidate), and Value::Hash of the value its bounds pin (which agrees
+  /// with Value::Compare: INT 5 and DOUBLE 5.0 hash alike). An inverted
+  /// (lo > hi) interval gets `value == kAnyValue`: it matches every value
+  /// of its column. Equal keys only make candidates; Covers decides, so a
+  /// hash collision costs one cover test and nothing else.
+  struct TermKey {
+    uint64_t column = 0;
+    uint64_t value = 0;
+    bool operator<(const TermKey& o) const {
+      return column != o.column ? column < o.column : value < o.value;
+    }
+    bool operator==(const TermKey& o) const {
+      return column == o.column && value == o.value;
+    }
+  };
+  /// Sorts first within its column, so a column-wide key is met before the
+  /// point keys it subsumes.
+  static constexpr uint64_t kAnyValue = 0;
+  /// Keys of every interval term of `condition` that pins its column to a
+  /// point or is inverted; sorted, unique.
+  static std::vector<TermKey> KeysOf(const Conjunction& condition);
+
+  /// A key and the index (into EntryItems::parts) of a part it names.
+  struct Posting {
+    TermKey key;
+    uint32_t part;
+  };
+
+  /// The immutable contents of one entry, published whole: its parts and
+  /// their in-entry index. Built by merging one change into the previous
+  /// object (O(entry), no sort), then swapped in and the predecessor
+  /// epoch-retired.
+  struct EntryItems {
+    // Live parts in insertion order (the writer's Entry::items order).
+    std::vector<PubItemPtr> parts;
+    // One posting per part that has a point key, under the key whose
+    // bucket was smallest when it was stored; sorted by (key, part).
+    std::vector<Posting> anchors;
+    // Parts with no point key, ascending: every probe tests them.
+    std::vector<uint32_t> residual;
+    // Every key of every part (points and column-wide), sorted by (key,
+    // part): the reverse postings displacement searches. A part the new
+    // part covers carries each of the new part's point keys, or an
+    // inverted term on that column.
+    std::vector<Posting> terms;
+
+    /// `prev` plus `part`, whose keys are `keys`.
+    static EntryItems* WithAdded(const EntryItems& prev, PubItemPtr part,
+                                 const std::vector<TermKey>& keys);
+    /// `prev` without the parts flagged in `drop` (indexed like parts).
+    static EntryItems* WithRemoved(const EntryItems& prev,
+                                   const std::vector<bool>& drop);
+  };
 
   /// Reader-visible face of one entry. The object is stable for the
   /// entry's lifetime (the index only changes when entries are created or
   /// garbage-collected); item-level changes swap the `items` pointer and
-  /// epoch-retire the old vector, so the common mutation — adding or
+  /// epoch-retire the old contents, so the common mutation — adding or
   /// dropping one condition of an existing relation set — never rebuilds
   /// the index. The destructor (which runs only after every snapshot
-  /// naming the entry has been reclaimed) frees the final vector.
+  /// naming the entry has been reclaimed) frees the final contents.
   struct PublishedEntry {
     RelationSet relations;
     RelationSignature signature;
-    std::atomic<const ItemVec*> items{nullptr};
+    std::atomic<const EntryItems*> items{nullptr};
     ~PublishedEntry() { delete items.load(std::memory_order_relaxed); }
   };
   using PublishedEntryPtr = std::shared_ptr<PublishedEntry>;
@@ -240,7 +304,7 @@ class CaqpCache {
     bool alive = false;
     RelationSet relations;
     RelationSignature signature;
-    std::vector<size_t> items;  // slot indices
+    std::vector<size_t> items;  // slot indices, parallel to pub's parts
     PublishedEntryPtr pub;      // the stable reader-visible face
   };
 
@@ -276,13 +340,16 @@ class CaqpCache {
 
   // ---- read path over a published snapshot -----------------------------
 
-  /// Subset search over `index`: finds a stored part covering `aqp`, sets
-  /// its reference bit, and returns true. Callers either pin an epoch or
-  /// hold `mu_` (under which the published index cannot be retired).
+  /// Subset search over `index`: finds a stored part covering `aqp`
+  /// (whose KeysOf are `keys`), sets its reference bit, and returns true.
+  /// Callers either pin an epoch or hold `mu_` (under which the published
+  /// index cannot be retired).
   bool FindCovering(const Index& index, const AtomicQueryPart& aqp,
+                    const std::vector<TermKey>& keys,
                     const RelationSignature& query_sig,
                     LookupWork* work) const;
   bool EntryCovers(const PublishedEntry& entry, const AtomicQueryPart& aqp,
+                   const std::vector<TermKey>& keys,
                    const RelationSignature& query_sig,
                    LookupWork* work) const;
 
@@ -302,13 +369,22 @@ class CaqpCache {
   /// Frees `slot` (listener notified with `reason`) without touching its
   /// entry's item list; the caller fixes the entry up.
   void ReleaseSlotLocked(size_t slot, RemoveReason reason) ERQ_REQUIRES(mu_);
-  /// Removes every item of entry `idx` for which `pred` holds, counting
-  /// them as `reason`; garbage-collects the entry if it empties (returns
-  /// true then: the caller must RebuildIndexLocked) or republishes its
-  /// items otherwise.
+  /// Removes the items of entry `idx` flagged in `drop` (indexed like its
+  /// items), counting them as `reason`; garbage-collects the entry if it
+  /// empties (returns true then: the caller must RebuildIndexLocked) or
+  /// republishes its items otherwise.
+  bool RemoveItemsLocked(size_t idx, RemoveReason reason,
+                         const std::vector<bool>& drop) ERQ_REQUIRES(mu_);
+  /// RemoveItemsLocked over the items for which `pred` holds.
   bool RemoveItemsIfLocked(
       size_t idx, RemoveReason reason,
       const std::function<bool(const AtomicQueryPart&)>& pred)
+      ERQ_REQUIRES(mu_);
+  /// Drops the parts of entry `idx` that `aqp` (whose KeysOf are `keys`)
+  /// covers, testing only those carrying one of its point keys when it
+  /// has any. Same return as RemoveItemsLocked.
+  bool DisplaceCoveredLocked(size_t idx, const AtomicQueryPart& aqp,
+                             const std::vector<TermKey>& keys)
       ERQ_REQUIRES(mu_);
   /// Unlinks a now-empty entry from entry_index_ and the inverted index
   /// and recycles its slot. The caller republishes.
@@ -318,10 +394,10 @@ class CaqpCache {
   size_t GetOrCreateEntryLocked(const RelationSet& relations, bool* created)
       ERQ_REQUIRES(mu_);
 
-  /// Swaps entry `pub->items` to match the writer-side item list and
-  /// epoch-retires the replaced vector (item-only change: the index
-  /// itself is untouched).
-  void RepublishEntryItemsLocked(Entry& entry) ERQ_REQUIRES(mu_);
+  /// Swaps `next` in as entry `pub->items` and epoch-retires the replaced
+  /// contents (item-only change: the index itself is untouched).
+  void RepublishEntryItemsLocked(Entry& entry, const EntryItems* next)
+      ERQ_REQUIRES(mu_);
   /// Rebuilds and publishes the index snapshot from writer state and
   /// epoch-retires the predecessor (entry membership changed).
   void RebuildIndexLocked() ERQ_REQUIRES(mu_);
@@ -364,7 +440,7 @@ class CaqpCache {
   // it sits alone on its cache line: sharing one with written state would
   // make each write evict the pointer from every reader's cache.
   alignas(64) std::atomic<const Index*> published_{nullptr};
-  // Reclamation domain for published snapshots and item vectors.
+  // Reclamation domain for published snapshots and entry contents.
   mutable EpochManager epoch_;
 };
 

@@ -148,6 +148,14 @@ bool ValueInterval::IsEmpty() const {
   return false;
 }
 
+const Value* ValueInterval::PointValue() const {
+  if (!lo.has_value() || !hi.has_value() || !lo->ComparableWith(*hi) ||
+      lo->Compare(*hi) != 0) {
+    return nullptr;
+  }
+  return &*lo;
+}
+
 bool ValueInterval::operator==(const ValueInterval& other) const {
   auto endpoint_eq = [](const std::optional<Value>& a,
                         const std::optional<Value>& b) {
@@ -571,12 +579,21 @@ Conjunction Conjunction::Make(std::vector<PrimitiveTerm> terms) {
     }
     if (out.unsatisfiable_) break;
   }
-  // Canonical order for stable Equals/Hash/ToString.
-  std::sort(out.terms_.begin(), out.terms_.end(),
-            [](const PrimitiveTerm& a, const PrimitiveTerm& b) {
-              std::string sa = a.ToString(), sb = b.ToString();
-              return sa < sb;
-            });
+  // Canonical order for stable Equals/Hash/ToString: by rendering, each
+  // rendered once. The comparator sees only the rendering, so std::sort
+  // makes the same moves it would over the terms themselves and ties
+  // (distinct terms rendering alike) keep the order they always had.
+  std::vector<std::pair<std::string, PrimitiveTerm>> keyed;
+  keyed.reserve(out.terms_.size());
+  for (PrimitiveTerm& t : out.terms_) {
+    std::string key = t.ToString();
+    keyed.emplace_back(std::move(key), std::move(t));
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    out.terms_[i] = std::move(keyed[i].second);
+  }
   return out;
 }
 

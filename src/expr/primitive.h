@@ -62,6 +62,12 @@ struct ValueInterval {
   /// an open end).
   bool IsEmpty() const;
 
+  /// The value both endpoints hold when they exist and compare equal
+  /// (inclusivity aside: "(5, 5]" pins 5 too, as an empty point), else
+  /// nullptr. The only intervals a point [v, v] can contain are these
+  /// pinned to v and inverted (lo > hi) ones.
+  const Value* PointValue() const;
+
   bool operator==(const ValueInterval& other) const;
   std::string ToString() const;
   size_t Hash() const;

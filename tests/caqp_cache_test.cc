@@ -1,5 +1,8 @@
 #include "core/caqp_cache.h"
 
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 
 namespace erq {
@@ -273,6 +276,10 @@ TEST(CaqpCacheTest, ExplainDescribesInternals) {
   EXPECT_NE(text.find("2/100 parts"), std::string::npos) << text;
   EXPECT_NE(text.find("2 entries"), std::string::npos) << text;
   EXPECT_NE(text.find("lookups=1 hits=1"), std::string::npos) << text;
+  EXPECT_NE(text.find("point index: 2 anchored, 0 residual, largest key "
+                      "bucket 1"),
+            std::string::npos)
+      << text;
 }
 
 // Paper §2.2 example: Q1 = sigma_{A.a=50 OR A.b=30}(A) and
@@ -338,6 +345,129 @@ TEST(CaqpCacheTest, SnapshotSeesAllEntries) {
     cache.Insert(Point(("s" + std::to_string(i)).c_str(), "x", i));
   }
   EXPECT_EQ(cache.Snapshot().size(), 12u);
+}
+
+// ---- In-entry point index ----
+
+AtomicQueryPart Part(std::vector<std::string> rels,
+                     std::vector<PrimitiveTerm> terms) {
+  return AtomicQueryPart(RelationSet(std::move(rels)),
+                         Conjunction::Make(std::move(terms)));
+}
+
+PrimitiveTerm Eq(const char* rel, const char* col, Value v) {
+  return PrimitiveTerm::MakeInterval(ColumnId::Make(rel, col),
+                                     ValueInterval::Point(std::move(v)));
+}
+
+// The scaling claim in one number: a hit among 3000 distinct points of one
+// entry makes at most two cover tests, where a scan of the entry makes
+// about one per stored part.
+TEST(CaqpCacheTest, HitAmongManyPointsMakesFewCoverTests) {
+  CaqpCache cache(5000);
+  for (int64_t i = 0; i < 3000; ++i) cache.Insert(Point("t", "x", i));
+  ASSERT_EQ(cache.size(), 3000u);
+  cache.ResetStats();
+  EXPECT_TRUE(cache.CoveredBy(Point("t", "x", 2999)));
+  EXPECT_LE(cache.stats_snapshot().conditions_scanned, 2u);
+  cache.ResetStats();
+  EXPECT_FALSE(cache.CoveredBy(Point("t", "x", 3000)));
+  EXPECT_EQ(cache.stats_snapshot().conditions_scanned, 0u);
+}
+
+// Value::Hash agrees with Value::Compare across INT and DOUBLE, so a
+// DOUBLE probe finds the INT anchor it equals.
+TEST(CaqpCacheTest, IntAnchorHitByDoubleProbe) {
+  CaqpCache cache(100);
+  for (int64_t i = 0; i < 10; ++i) cache.Insert(Point("t", "x", i));
+  cache.ResetStats();
+  EXPECT_TRUE(cache.CoveredBy(Part({"t"}, {Eq("t", "x", Value::Double(5.0))})));
+  EXPECT_EQ(cache.stats_snapshot().conditions_scanned, 1u);
+  EXPECT_FALSE(
+      cache.CoveredBy(Part({"t"}, {Eq("t", "x", Value::Double(5.5))})));
+}
+
+// Keys strip the occurrence suffix, so a part stored about "a" is found
+// for a probe pinning the same column of "a#2" (Covers remaps it).
+TEST(CaqpCacheTest, RemappedOccurrenceHit) {
+  CaqpCache cache(100);
+  for (int64_t i = 0; i < 10; ++i) cache.Insert(Point("a", "x", i));
+  AtomicQueryPart self_join =
+      Part({"a", "a#2"}, {Eq("a", "x", Value::Int(70)),
+                          Eq("a#2", "x", Value::Int(4)),
+                          PrimitiveTerm::MakeColCol(ColumnId::Make("a", "k"),
+                                                    CompareOp::kEq,
+                                                    ColumnId::Make("a#2", "k"))});
+  cache.ResetStats();
+  EXPECT_TRUE(cache.CoveredBy(self_join));
+  EXPECT_EQ(cache.stats_snapshot().conditions_scanned, 1u);
+}
+
+// Parts with no equality term cannot be anchored: every probe of their
+// entry tests them, and only them besides its own key's anchors.
+TEST(CaqpCacheTest, RangeOnlyPartsServedFromResidual) {
+  CaqpCache cache(100);
+  for (int64_t i = 0; i < 20; ++i) cache.Insert(Point("t", "x", i));
+  cache.Insert(Range("t", "y", 0, 10));
+  cache.Insert(Range("t", "y", 100, 110));
+  cache.Insert(Range("t", "y", 200, 210));
+  ASSERT_EQ(cache.size(), 23u);
+  EXPECT_NE(cache.Explain().find("20 anchored, 3 residual"), std::string::npos)
+      << cache.Explain();
+  cache.ResetStats();
+  EXPECT_TRUE(cache.CoveredBy(Range("t", "y", 102, 104)));
+  EXPECT_LE(cache.stats_snapshot().conditions_scanned, 3u);
+  cache.ResetStats();
+  EXPECT_FALSE(cache.CoveredBy(Range("t", "y", 50, 60)));
+  EXPECT_EQ(cache.stats_snapshot().conditions_scanned, 3u);
+}
+
+// A general part displaces exactly the stored parts carrying its equality
+// term that it covers; parts pinned elsewhere stay.
+TEST(CaqpCacheTest, GeneralPartDisplacesOnlyItsKeysParts) {
+  CaqpCache cache(100);
+  for (int64_t y = 0; y < 5; ++y) {
+    cache.Insert(Part({"t"}, {Eq("t", "x", Value::Int(5)),
+                              Eq("t", "y", Value::Int(y))}));
+    cache.Insert(Part({"t"}, {Eq("t", "x", Value::Int(6)),
+                              Eq("t", "y", Value::Int(y))}));
+  }
+  // Over a superset relation set and remapped: also displaced.
+  cache.Insert(Part({"t", "t#2"}, {Eq("t#2", "x", Value::Int(5))}));
+  ASSERT_EQ(cache.size(), 11u);
+  cache.Insert(Point("t", "x", 5));
+  EXPECT_EQ(cache.stats_snapshot().removed_covered, 6u);
+  ASSERT_EQ(cache.size(), 6u);
+  for (const AtomicQueryPart& part : cache.Snapshot()) {
+    if (part.condition().size() == 1) {
+      EXPECT_TRUE(part.Equals(Point("t", "x", 5))) << part.ToString();
+    } else {
+      EXPECT_NE(part.ToString().find("[6, 6]"), std::string::npos)
+          << part.ToString();
+    }
+  }
+}
+
+// A stored point contains an inverted (lo > hi, hence unsatisfiable)
+// interval on its column too: the probe's column-wide key finds it, and a
+// stored inverted term is displaced through its column-wide posting.
+TEST(CaqpCacheTest, InvertedIntervalsMatchTheWholeColumn) {
+  CaqpCache cache(100);
+  for (int64_t i = 0; i < 10; ++i) cache.Insert(Point("t", "x", i));
+  EXPECT_TRUE(cache.CoveredBy(Range("t", "x", 7, 3)));
+  EXPECT_FALSE(cache.CoveredBy(Range("t", "x", 30, 20)));
+
+  CaqpCache reverse(100);
+  AtomicQueryPart inverted = Part(
+      {"t"},
+      {PrimitiveTerm::MakeInterval(
+           ColumnId::Make("t", "x"),
+           ValueInterval::Range(Value::Int(7), true, Value::Int(3), true)),
+       Eq("t", "y", Value::Int(1))});
+  reverse.Insert(inverted);
+  reverse.Insert(Point("t", "x", 5));
+  EXPECT_EQ(reverse.stats_snapshot().removed_covered, 1u);
+  EXPECT_EQ(reverse.size(), 1u);
 }
 
 }  // namespace

@@ -242,7 +242,7 @@ TEST(ConcurrencyTest, LookupHeavyReadersRaceInsertAndInvalidate) {
 // Lock-free lookups racing inserts, churn invalidations, and (on a second,
 // tiny cache) evictions: writers republish snapshots while readers hold
 // epoch pins, the interleaving most likely to expose a reclamation bug
-// (use-after-free of a retired Index/ItemVec) to TSan/ASan. Parts on
+// (use-after-free of a retired Index/EntryItems) to TSan/ASan. Parts on
 // "anchor<i>" relations are never invalidated and capacity is ample, so
 // every anchor lookup must report covered throughout.
 TEST(ConcurrencyTest, AnchoredLookupsRaceMutations) {

@@ -116,6 +116,37 @@ TEST_F(PartitionPruningTest, NonEmptyQueryStoresNothing) {
   EXPECT_EQ(q2.partitions_pruned, 0u);
 }
 
+TEST_F(PartitionPruningTest, RepartitioningKeepsStoredEmptiness) {
+  EmptyResultConfig config;
+  config.c_cost = 0.0;  // record every empty query, however cheap
+  EmptyResultManager manager(&catalog_, &stats_, config);
+  ERQ_ASSERT_OK(manager.init_status());
+
+  // No row has price 700, and no zone map can refute it, so the scan
+  // runs and its emptiness is recorded.
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      QueryOutcome empty,
+      manager.Query("SELECT id FROM items WHERE price = 700"));
+  EXPECT_TRUE(empty.executed);
+  EXPECT_EQ(empty.result_rows, 0u);
+  const size_t stored = manager.detector().cache().size();
+  ASSERT_GT(stored, 0u);
+
+  // Repartitioning moves no row: every stored part stays true.
+  PartitionScheme scheme;
+  scheme.kind = PartitionScheme::Kind::kRange;
+  scheme.key_column = "id";
+  scheme.range_bounds = {Value::Int(50)};
+  ERQ_ASSERT_OK(catalog_.SetPartitioning("items", std::move(scheme)));
+  EXPECT_EQ(manager.detector().cache().size(), stored);
+
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      QueryOutcome refined,
+      manager.Query("SELECT id FROM items WHERE price = 700 AND id < 50"));
+  EXPECT_TRUE(refined.detected_empty);
+  EXPECT_FALSE(refined.executed);
+}
+
 TEST_F(PartitionPruningTest, PrunedScanReturnsIdenticalRows) {
   // Parity: the partitioned database against an identical unpartitioned
   // one, across a sweep of generated predicates on both columns. Results

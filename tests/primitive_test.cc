@@ -1,5 +1,9 @@
 #include "expr/primitive.h"
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 
@@ -68,6 +72,32 @@ TEST(ValueIntervalTest, IntersectionAndEmptiness) {
   ValueInterval ge5 = ValueInterval::GreaterThan(Value::Int(5), true);
   ASSERT_TRUE(ge5.IntersectWith(ValueInterval::LessThan(Value::Int(5), true)));
   EXPECT_FALSE(ge5.IsEmpty());
+}
+
+TEST(ValueIntervalTest, PointValueNeedsBoundsComparingEqual) {
+  const ValueInterval five = ValueInterval::Point(Value::Int(5));
+  const Value* v = five.PointValue();
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->Compare(Value::Int(5)), 0);
+  // INT and DOUBLE bounds that compare equal pin the value too, and an
+  // open end makes an empty point, still pinned.
+  EXPECT_NE(ValueInterval::Range(Value::Int(5), true, Value::Double(5.0), true)
+                .PointValue(),
+            nullptr);
+  EXPECT_NE(ValueInterval::Range(Value::Int(5), false, Value::Int(5), true)
+                .PointValue(),
+            nullptr);
+  EXPECT_EQ(ValueInterval::Range(Value::Int(5), true, Value::Int(6), true)
+                .PointValue(),
+            nullptr);
+  EXPECT_EQ(ValueInterval::Range(Value::Int(7), true, Value::Int(3), true)
+                .PointValue(),
+            nullptr);
+  EXPECT_EQ(ValueInterval::LessThan(Value::Int(5), true).PointValue(),
+            nullptr);
+  EXPECT_EQ(ValueInterval::Range(Value::Int(5), true, Value::String("5"), true)
+                .PointValue(),
+            nullptr);
 }
 
 TEST(ValueIntervalTest, IncomparableTypesRefuseToIntersect) {
@@ -249,6 +279,37 @@ TEST(ConjunctionTest, EqualsAndHashOrderInsensitive) {
        PrimitiveTerm::MakeInterval(Aa(), ValueInterval::Point(Value::Int(1)))});
   EXPECT_TRUE(c1.Equals(c2));
   EXPECT_EQ(c1.Hash(), c2.Hash());
+}
+
+// The canonical order is by each term's rendering, whatever order the
+// terms arrive in, so Equals, Hash and ToString do not depend on it.
+TEST(ConjunctionTest, ShuffledTermsGiveOneCanonicalForm) {
+  std::vector<PrimitiveTerm> terms = {
+      PrimitiveTerm::MakeInterval(Aa(), ValueInterval::Point(Value::Date(9000))),
+      PrimitiveTerm::MakeInterval(
+          Ab(), ValueInterval::Range(Value::String("a"), true,
+                                     Value::String("m"), false)),
+      PrimitiveTerm::MakeNotEqual(Bd(), Value::Double(2.5)),
+      PrimitiveTerm::MakeColCol(Aa(), CompareOp::kLt, Bd()),
+      PrimitiveTerm::MakeInterval(ColumnId::Make("B", "e"),
+                                  ValueInterval::LessThan(Value::Int(7), true)),
+      PrimitiveTerm::MakeOpaque(
+          Expr::MakeIsNull(Expr::MakeColumnRef("b", "f"), false)),
+  };
+  const Conjunction reference = Conjunction::Make(terms);
+  ASSERT_EQ(reference.size(), terms.size());
+  for (size_t i = 1; i < reference.size(); ++i) {
+    EXPECT_LE(reference.terms()[i - 1].ToString(),
+              reference.terms()[i].ToString());
+  }
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 50; ++round) {
+    std::shuffle(terms.begin(), terms.end(), rng);
+    Conjunction shuffled = Conjunction::Make(terms);
+    EXPECT_TRUE(shuffled.Equals(reference));
+    EXPECT_EQ(shuffled.Hash(), reference.Hash());
+    EXPECT_EQ(shuffled.ToString(), reference.ToString());
+  }
 }
 
 TEST(ConjunctionTest, EmptyConjunctionIsTrueAndCoversEverything) {

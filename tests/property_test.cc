@@ -5,9 +5,13 @@
 //   2. Coverage soundness: Covers(p, q) implies "q true => p true" on
 //      every concrete row.
 //   3. Cache-vs-bruteforce equivalence: CaqpCache::CoveredBy agrees with a
-//      linear scan over all stored parts.
+//      linear scan over all stored parts, and the stored parts agree with
+//      a model of the insert rule.
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/manager.h"
 #include "exec/executor.h"
@@ -243,45 +247,165 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoverSoundnessTest,
 
 class CacheEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CacheEquivalenceTest, CoveredByMatchesLinearScan) {
-  std::mt19937_64 rng(GetParam());
-  CaqpCache cache(10000);
-  std::vector<AtomicQueryPart> stored;
-  const char* rels[] = {"r", "s"};
-  auto random_part = [&]() {
-    std::vector<std::string> names;
-    names.push_back(rels[rng() % 2]);
-    if (rng() % 3 == 0) names.push_back(rels[(rng() % 2)]);
-    std::vector<PrimitiveTerm> terms;
-    size_t n = 1 + rng() % 2;
-    for (size_t i = 0; i < n; ++i) {
-      ColumnId col = ColumnId::Make(names[rng() % names.size()], "x");
-      int64_t v = static_cast<int64_t>(rng() % 10);
-      terms.push_back(rng() % 2 == 0
-                          ? PrimitiveTerm::MakeInterval(
-                                col, ValueInterval::Point(Value::Int(v)))
-                          : PrimitiveTerm::MakeInterval(
-                                col, ValueInterval::LessThan(Value::Int(v),
-                                                             true)));
-    }
-    return AtomicQueryPart(RelationSet(names),
-                           Conjunction::Make(std::move(terms)));
+// Canonical relation sets: repeated occurrences are numbered from the
+// first ("r", "r#2"), as decomposition names them, so occurrence
+// remapping is exercised.
+const std::vector<std::vector<std::string>>& RelationSets() {
+  static const std::vector<std::vector<std::string>> sets = {
+      {"r"}, {"s"}, {"r", "s"}, {"r", "r#2"}, {"r", "r#2", "s"}};
+  return sets;
+}
+
+// A random part drawing every term shape: points, one- and two-sided
+// ranges (two-sided ones may be inverted), `!=`, col-col and opaque terms.
+// Values come from a small domain, a quarter of them as DOUBLE, so points
+// collide, ranges nest and INT 3 meets DOUBLE 3.0.
+AtomicQueryPart RandomCachePart(std::mt19937_64& rng) {
+  const std::vector<std::string>& names =
+      RelationSets()[rng() % RelationSets().size()];
+  auto relation = [&]() { return names[rng() % names.size()]; };
+  auto column = [&]() {
+    return ColumnId::Make(relation(), rng() % 2 == 0 ? "x" : "y");
   };
-  // Note: Insert prunes covered parts, so the reference set must mirror
-  // the cache's semantics: we compare CoveredBy against a scan of the
-  // cache's own snapshot instead of tracking inserts separately.
-  for (int i = 0; i < 120; ++i) cache.Insert(random_part());
-  for (int probe = 0; probe < 300; ++probe) {
-    AtomicQueryPart q = random_part();
-    std::vector<AtomicQueryPart> snapshot = cache.Snapshot();
-    bool brute = false;
-    for (const AtomicQueryPart& s : snapshot) {
-      if (s.Covers(q)) {
-        brute = true;
+  auto value = [&]() {
+    const auto v = static_cast<int64_t>(rng() % 6);
+    return rng() % 4 == 0 ? Value::Double(static_cast<double>(v))
+                          : Value::Int(v);
+  };
+  static const CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
+                                   CompareOp::kEq, CompareOp::kNe};
+  std::vector<PrimitiveTerm> terms;
+  const size_t n = 1 + rng() % 3;
+  for (size_t i = 0; i < n; ++i) {
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        terms.push_back(
+            PrimitiveTerm::MakeInterval(column(), ValueInterval::Point(value())));
+        break;
+      case 3:
+        terms.push_back(PrimitiveTerm::MakeInterval(
+            column(), rng() % 2 == 0
+                          ? ValueInterval::LessThan(value(), rng() % 2 == 0)
+                          : ValueInterval::GreaterThan(value(), rng() % 2 == 0)));
+        break;
+      case 4: {
+        Value lo = value();
+        Value hi = value();
+        terms.push_back(PrimitiveTerm::MakeInterval(
+            column(), ValueInterval::Range(std::move(lo), rng() % 2 == 0,
+                                           std::move(hi), rng() % 2 == 0)));
         break;
       }
+      case 5:
+        terms.push_back(PrimitiveTerm::MakeNotEqual(column(), value()));
+        break;
+      case 6:
+        terms.push_back(
+            PrimitiveTerm::MakeColCol(column(), kOps[rng() % 4], column()));
+        break;
+      default:
+        terms.push_back(PrimitiveTerm::MakeOpaque(Expr::MakeIsNull(
+            Expr::MakeColumnRef(relation(), "z"), rng() % 2 == 0)));
+        break;
     }
-    EXPECT_EQ(cache.CoveredBy(q), brute) << q.ToString();
+  }
+  return AtomicQueryPart(RelationSet(names),
+                         Conjunction::Make(std::move(terms)));
+}
+
+bool BruteCovered(const std::vector<AtomicQueryPart>& parts,
+                  const AtomicQueryPart& q) {
+  for (const AtomicQueryPart& s : parts) {
+    if (s.Covers(q)) return true;
+  }
+  return false;
+}
+
+// The insert rule without capacity: skip a part something covers, else
+// drop every stored part it covers and store it.
+void ModelInsert(std::vector<AtomicQueryPart>* model,
+                 const AtomicQueryPart& p) {
+  if (BruteCovered(*model, p)) return;
+  model->erase(std::remove_if(model->begin(), model->end(),
+                              [&](const AtomicQueryPart& m) {
+                                return p.Covers(m);
+                              }),
+               model->end());
+  model->push_back(p);
+}
+
+// Multiset equality under AtomicQueryPart::Equals.
+bool SameParts(std::vector<AtomicQueryPart> a,
+               const std::vector<AtomicQueryPart>& b) {
+  if (a.size() != b.size()) return false;
+  for (const AtomicQueryPart& part : b) {
+    auto it = std::find_if(a.begin(), a.end(), [&](const AtomicQueryPart& x) {
+      return x.Equals(part);
+    });
+    if (it == a.end()) return false;
+    a.erase(it);
+  }
+  return true;
+}
+
+// A stateful run of inserts, invalidations and DropIf sweeps. After every
+// step CoveredBy must agree with a scan of the cache's own Snapshot(); in
+// the large-capacity phase Snapshot() must also equal the model of the
+// insert rule, and in the small-capacity phase eviction runs constantly.
+TEST_P(CacheEquivalenceTest, CoveredByMatchesLinearScan) {
+  std::mt19937_64 rng(GetParam());
+  for (size_t n_max : {size_t{100000}, size_t{12}}) {
+    const bool modeled = n_max > 1000;
+    CaqpCache cache(n_max);
+    std::vector<AtomicQueryPart> model;
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t action = rng() % 20;
+      std::string what;
+      if (action < 16) {
+        AtomicQueryPart p = RandomCachePart(rng);
+        what = "insert " + p.ToString();
+        cache.Insert(p);
+        if (modeled) ModelInsert(&model, p);
+      } else if (action < 18) {
+        const std::string base = rng() % 2 == 0 ? "r" : "s";
+        what = "invalidate " + base;
+        cache.InvalidateRelation(base);
+        auto mentions = [&](const AtomicQueryPart& m) {
+          for (const std::string& name : m.relations().names()) {
+            if (name == base || name.rfind(base + "#", 0) == 0) return true;
+          }
+          return false;
+        };
+        model.erase(std::remove_if(model.begin(), model.end(), mentions),
+                    model.end());
+      } else {
+        const size_t terms = 1 + rng() % 3;
+        what = "drop parts of " + std::to_string(terms) + " terms";
+        auto pred = [terms](const AtomicQueryPart& m) {
+          return m.condition().size() == terms;
+        };
+        cache.DropIf(pred);
+        model.erase(std::remove_if(model.begin(), model.end(), pred),
+                    model.end());
+      }
+      std::vector<AtomicQueryPart> snapshot = cache.Snapshot();
+      ASSERT_LE(snapshot.size(), n_max);
+      if (modeled) {
+        ASSERT_TRUE(SameParts(snapshot, model))
+            << "step " << step << " after " << what << ": cache holds "
+            << snapshot.size() << " parts, model " << model.size();
+      }
+      for (int probe = 0; probe < 4; ++probe) {
+        AtomicQueryPart q = RandomCachePart(rng);
+        ASSERT_EQ(cache.CoveredBy(q), BruteCovered(snapshot, q))
+            << "step " << step << " after " << what << ": " << q.ToString();
+      }
+    }
+    if (!modeled) {
+      EXPECT_GT(cache.stats_snapshot().evictions, 0u);
+    }
   }
 }
 

@@ -79,6 +79,25 @@ print("metrics_dump: OK (%d counters, %d histograms)"
   else
     bad "plain (metrics_dump smoke)"
   fi
+  # In-entry point index: over a seeded 1000-query TPC-R trace a C_aqp
+  # lookup makes at most 2 cover tests on average. The count is
+  # deterministic; scanning every part of the matching entry made ~75.
+  log "plain: metrics_dump cover tests per C_aqp lookup"
+  if "$dir/tools/metrics_dump" --trace tpcr --json --queries 1000 \
+      | python3 -c '
+import json, sys
+counters = json.load(sys.stdin)["counters"]
+lookups = counters["erq.caqp.lookups"]
+per_lookup = counters["erq.caqp.conditions_scanned"] / max(lookups, 1)
+assert lookups > 0, "no C_aqp lookup ran"
+assert per_lookup <= 2, "%.2f cover tests per lookup (want <= 2)" % per_lookup
+print("cover tests per lookup: OK (%.2f over %d lookups)"
+      % (per_lookup, lookups))
+'; then
+    ok "plain (cover tests per lookup)"
+  else
+    bad "plain (cover tests per lookup)"
+  fi
   # Partition-pruning smoke: over a partitioned index-free TPC-R
   # instance, a canned selective query must skip partitions — the binary
   # itself fails on zero pruned, and the emitted registry dump must carry
