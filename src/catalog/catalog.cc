@@ -92,7 +92,6 @@ SortedIndex* Catalog::FindIndex(const std::string& table_name,
                                 const std::string& column_name) {
   auto it = indexes_.find(Key(table_name) + "." + Key(column_name));
   if (it == indexes_.end()) return nullptr;
-  it->second->Refresh();
   return it->second.get();
 }
 

@@ -60,8 +60,8 @@ class Catalog {
   StatusOr<SortedIndex*> CreateIndex(const std::string& table_name,
                                      const std::string& column_name);
 
-  /// The index on (table, column) if one exists, else nullptr. Refreshes it
-  /// against the current table version before returning.
+  /// The index on (table, column) if one exists, else nullptr. Lookups
+  /// through it always see the table's current version.
   SortedIndex* FindIndex(const std::string& table_name,
                          const std::string& column_name);
 

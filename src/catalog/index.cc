@@ -7,56 +7,47 @@ namespace erq {
 SortedIndex::SortedIndex(const Table* table, size_t column_index,
                          std::string name)
     : table_(table), column_index_(column_index), name_(std::move(name)) {
-  Refresh();
+  snapshot();  // build the current version up front, as CREATE INDEX does
 }
 
-void SortedIndex::Refresh() {
-  if (built_version_ == table_->version()) return;
-  entries_.clear();
-  entries_.reserve(table_->num_rows());
+std::shared_ptr<const SortedIndex::Snapshot> SortedIndex::snapshot() const {
+  MutexLock lock(&mu_);
+  const uint64_t version = table_->version();
+  if (snapshot_ != nullptr && snapshot_->version_ == version) return snapshot_;
+  auto snap = std::make_shared<Snapshot>();
+  snap->version_ = version;
+  snap->entries_.reserve(table_->num_rows());
   for (size_t i = 0; i < table_->num_rows(); ++i) {
     const Value& v = table_->row(i)[column_index_];
     if (v.is_null()) continue;
-    entries_.push_back(Entry{v, i});
+    snap->entries_.push_back(Snapshot::Entry{v, i});
   }
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) { return a.key < b.key; });
-  built_version_ = table_->version();
+  std::sort(snap->entries_.begin(), snap->entries_.end(),
+            [](const Snapshot::Entry& a, const Snapshot::Entry& b) {
+              int c = a.key.Compare(b.key);
+              return c != 0 ? c < 0 : a.row_id < b.row_id;
+            });
+  snapshot_ = std::move(snap);
+  return snapshot_;
 }
 
-std::vector<size_t> SortedIndex::RangeLookup(const Bound& lo,
-                                             const Bound& hi) const {
+void SortedIndex::Snapshot::AppendRange(const KeyRange& range,
+                                        std::vector<size_t>* out) const {
+  auto key_less = [](const Entry& e, const Value& v) { return e.key < v; };
+  auto less_key = [](const Value& v, const Entry& e) { return v < e.key; };
   auto begin = entries_.begin();
   auto end = entries_.end();
-  if (lo.value.has_value()) {
-    if (lo.inclusive) {
-      begin = std::lower_bound(
-          entries_.begin(), entries_.end(), *lo.value,
-          [](const Entry& e, const Value& v) { return e.key < v; });
-    } else {
-      begin = std::upper_bound(
-          entries_.begin(), entries_.end(), *lo.value,
-          [](const Value& v, const Entry& e) { return v < e.key; });
-    }
+  if (range.lo.value.has_value()) {
+    begin = range.lo.inclusive
+                ? std::lower_bound(begin, end, *range.lo.value, key_less)
+                : std::upper_bound(begin, end, *range.lo.value, less_key);
   }
-  if (hi.value.has_value()) {
-    if (hi.inclusive) {
-      end = std::upper_bound(
-          entries_.begin(), entries_.end(), *hi.value,
-          [](const Value& v, const Entry& e) { return v < e.key; });
-    } else {
-      end = std::lower_bound(
-          entries_.begin(), entries_.end(), *hi.value,
-          [](const Entry& e, const Value& v) { return e.key < v; });
-    }
+  if (range.hi.value.has_value()) {
+    end = range.hi.inclusive
+              ? std::upper_bound(begin, end, *range.hi.value, less_key)
+              : std::lower_bound(begin, end, *range.hi.value, key_less);
   }
-  std::vector<size_t> out;
-  for (auto it = begin; it < end; ++it) out.push_back(it->row_id);
-  return out;
-}
-
-std::vector<size_t> SortedIndex::EqualLookup(const Value& v) const {
-  return RangeLookup(Bound::Inclusive(v), Bound::Inclusive(v));
+  for (auto it = begin; it != end; ++it) out->push_back(it->row_id);
 }
 
 }  // namespace erq

@@ -44,6 +44,9 @@
 ///   Table (44)        one table's row-store mutations + partition/zone-map
 ///                     state; short critical sections that call into no
 ///                     other module (snapshot readers copy a shared_ptr)
+///   Index (46)        one sorted index's snapshot publication; held while
+///                     a stale snapshot is rebuilt from lock-free row
+///                     reads, calls into no other module
 ///   Persistence (50)  durable mirror + journal; acquired under the C_aqp
 ///                     writer lock, and itself held across IO seams
 ///   FailPoint (60)    fault-injection registry, consulted at IO
@@ -90,6 +93,10 @@ inline constexpr LockRank kStatsCatalog{40, "StatsCatalog"};
 /// published shared_ptr under it. Never held across calls into another
 /// module, so it sits just above the stats leaf.
 inline constexpr LockRank kTable{44, "Table"};
+/// SortedIndex::mu_ — publishes one index's per-version entry snapshot;
+/// held across the rebuild of a stale snapshot, which reads rows without
+/// locks and calls into no other module.
+inline constexpr LockRank kIndex{46, "Index"};
 /// Persistence::mu_ — durable mirrors, journal writer, sticky IO status.
 inline constexpr LockRank kPersistence{50, "Persistence"};
 /// FailPoint::mu_ — crash-point registry (hit counters, armings).

@@ -154,13 +154,25 @@ class TableScanIter : public Iter {
   size_t pos_ = 0;
 };
 
+/// Looks up each key range of the scan in one index snapshot and emits
+/// the matching rows that pass the residual filter.
 class IndexScanIter : public Iter {
  public:
   explicit IndexScanIter(const PhysicalOperator& op) : op_(op) {}
 
   Status Open() override {
-    op_.index->Refresh();
-    row_ids_ = op_.index->RangeLookup(op_.index_lo, op_.index_hi);
+    std::shared_ptr<const SortedIndex::Snapshot> snapshot =
+        op_.index->snapshot();
+    row_ids_.clear();
+    for (const KeyRange& range : op_.index_ranges) {
+      snapshot->AppendRange(range, &row_ids_);
+    }
+    if (op_.index_ranges.size() > 1) {
+      // Ranges may overlap or repeat: emit each row once, in table order.
+      std::sort(row_ids_.begin(), row_ids_.end());
+      row_ids_.erase(std::unique(row_ids_.begin(), row_ids_.end()),
+                     row_ids_.end());
+    }
     pos_ = 0;
     return Status::OK();
   }

@@ -149,9 +149,11 @@ double CostModel::JoinSelectivity(const std::string& left_alias,
   return 1.0 / max_ndv;
 }
 
-double CostModel::IndexScanCost(double table_rows, double matching_rows) const {
+double CostModel::IndexScanCost(double table_rows, double matching_rows,
+                                size_t ranges) const {
   double height = table_rows > 1 ? std::log2(table_rows) : 1.0;
-  return kIndexLookupCost + height + matching_rows * kIndexTupleCost;
+  return static_cast<double>(ranges) * (kIndexLookupCost + height) +
+         matching_rows * kIndexTupleCost;
 }
 
 double CostModel::HashJoinCost(double left_rows, double right_rows) const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -36,7 +37,9 @@ class CostModel {
   // --- Operator costs (per-operator, excluding children) ---
 
   double TableScanCost(double rows) const { return rows * kSeqTupleCost; }
-  double IndexScanCost(double table_rows, double matching_rows) const;
+  /// One descent per key range plus a visit per matching row.
+  double IndexScanCost(double table_rows, double matching_rows,
+                       size_t ranges) const;
   double FilterCost(double input_rows) const {
     return input_rows * kPredicateCost;
   }

@@ -41,9 +41,10 @@ bool IsSubset(const std::set<std::string>& a, const std::set<std::string>& b) {
 }
 
 /// If `conjunct` is a sargable single-column interval predicate
-/// (col cmp literal, literal cmp col, or col BETWEEN lit AND lit),
-/// extracts the column name and bounds. Returns false otherwise.
-bool ExtractSargable(const Expr& conjunct, std::string* column, Bound* lo,
+/// (col cmp literal, literal cmp col, col BETWEEN lit AND lit, or a
+/// prefix LIKE), extracts the column name and bounds. Returns false
+/// otherwise.
+bool ExtractInterval(const Expr& conjunct, std::string* column, Bound* lo,
                      Bound* hi) {
   if (conjunct.kind() == Expr::Kind::kBetween && !conjunct.negated()) {
     const Expr& v = *conjunct.child(0);
@@ -130,6 +131,50 @@ bool ExtractSargable(const Expr& conjunct, std::string* column, Bound* lo,
       return false;
   }
   return false;
+}
+
+/// Appends the key ranges `conjunct` is exactly equivalent to on one
+/// column: a single interval predicate gives one range, a non-negated IN
+/// list of non-NULL literals one point per item, and an OR (flattened) the
+/// ranges of its disjuncts, all of which must be sargable on the same
+/// column. `column` is set by the first range and checked by the rest.
+/// Returns false (contents of `ranges` unspecified) for anything else.
+bool ExtractRanges(const Expr& conjunct, std::string* column,
+                   std::vector<KeyRange>* ranges) {
+  auto same_column = [column](const std::string& c) {
+    if (column->empty()) *column = c;
+    return EqualsIgnoreCase(*column, c);
+  };
+  if (conjunct.kind() == Expr::Kind::kOr) {
+    for (const ExprPtr& disjunct : conjunct.children()) {
+      if (!ExtractRanges(*disjunct, column, ranges)) return false;
+    }
+    return true;
+  }
+  if (conjunct.kind() == Expr::Kind::kInList) {
+    const Expr& operand = *conjunct.child(0);
+    if (conjunct.negated() || operand.kind() != Expr::Kind::kColumnRef ||
+        !same_column(operand.column())) {
+      return false;
+    }
+    for (size_t i = 1; i < conjunct.children().size(); ++i) {
+      const Expr& item = *conjunct.child(i);
+      if (item.kind() != Expr::Kind::kLiteral || item.value().is_null()) {
+        return false;
+      }
+      ranges->push_back(KeyRange{Bound::Inclusive(item.value()),
+                                 Bound::Inclusive(item.value())});
+    }
+    return true;
+  }
+  std::string c;
+  KeyRange range;
+  if (!ExtractInterval(conjunct, &c, &range.lo, &range.hi) ||
+      !same_column(c)) {
+    return false;
+  }
+  ranges->push_back(std::move(range));
+  return true;
 }
 
 /// A join-graph component during greedy join ordering.
@@ -362,22 +407,21 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
   int best_idx = -1;
   SortedIndex* best_index = nullptr;
   std::string best_column;
-  Bound best_lo = Bound::Unbounded(), best_hi = Bound::Unbounded();
+  std::vector<KeyRange> best_ranges;
   double best_sel = 1.0;
   if (options_.enable_index_scan) {
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       std::string column;
-      Bound lo, hi;
-      if (!ExtractSargable(*conjuncts[i], &column, &lo, &hi)) continue;
+      std::vector<KeyRange> ranges;
+      if (!ExtractRanges(*conjuncts[i], &column, &ranges)) continue;
       SortedIndex* index = catalog_->FindIndex(table_name, column);
       if (index == nullptr) continue;
       double sel = cost_model_.EstimateSelectivity(*conjuncts[i], aliases);
       if (best_idx < 0 || sel < best_sel) {
         best_idx = static_cast<int>(i);
         best_index = index;
-        best_column = column;
-        best_lo = lo;
-        best_hi = hi;
+        best_column = std::move(column);
+        best_ranges = std::move(ranges);
         best_sel = sel;
       }
     }
@@ -392,8 +436,7 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
     scan->alias = alias;
     scan->index = best_index;
     scan->index_column = best_column;
-    scan->index_lo = best_lo;
-    scan->index_hi = best_hi;
+    scan->index_ranges = std::move(best_ranges);
     scan->layout = scan_layout;
     ERQ_ASSIGN_OR_RETURN(scan->index_condition,
                          BindExpr(conjuncts[static_cast<size_t>(best_idx)],
@@ -401,7 +444,8 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
     conjuncts.erase(conjuncts.begin() + best_idx);
     scan->estimated_rows = std::max(1.0, table_rows * best_sel);
     scan->estimated_cost =
-        cost_model_.IndexScanCost(table_rows, scan->estimated_rows);
+        cost_model_.IndexScanCost(table_rows, scan->estimated_rows,
+                                  scan->index_ranges.size());
   } else {
     // Canonicalize the primitive-classifiable single-table conjuncts once:
     // the alias is rewritten to the canonical (lowercased base table)

@@ -77,6 +77,9 @@ std::string PhysicalOperator::ToString(int indent) const {
       out += " " + table_name;
       if (alias != table_name) out += " AS " + alias;
       out += " ON " + index_column;
+      if (index_ranges.size() > 1) {
+        out += " (" + std::to_string(index_ranges.size()) + " ranges)";
+      }
       if (index_condition) out += " [" + index_condition->ToString() + "]";
       if (predicate) out += " residual [" + predicate->ToString() + "]";
       break;

@@ -17,7 +17,8 @@ namespace erq {
 /// operators in physical query plans").
 enum class PhysOpKind {
   kTableScan,
-  kIndexScan,   // range access via a SortedIndex + optional residual filter
+  kIndexScan,   // one or more key ranges via a SortedIndex + optional
+                // residual filter
   kCachedResultScan,  // emits the materialized rows of a reuse-store
                       // intermediate (sigma_stored(table), ascending row
                       // order) instead of re-scanning the base table
@@ -68,10 +69,12 @@ struct PhysicalOperator {
   // kIndexScan
   SortedIndex* index = nullptr;
   std::string index_column;     // column the index covers
-  Bound index_lo = Bound::Unbounded();
-  Bound index_hi = Bound::Unbounded();
-  ExprPtr index_condition;      // the predicate the bounds implement
-                                // (bound to the scan layout), used by T3
+  // Key ranges looked up, at least one; a row matching several ranges is
+  // emitted once. One range emits rows in key order, several in row order.
+  std::vector<KeyRange> index_ranges;
+  ExprPtr index_condition;      // the whole predicate the ranges implement
+                                // (a comparison, an OR or an IN list,
+                                // bound to the scan layout), used by T3
 
   // kFilter (bound to child layout); kIndexScan residual filter.
   ExprPtr predicate;

@@ -3,6 +3,8 @@
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "types/date.h"
+#include "workload/query_gen.h"
 
 namespace erq {
 namespace {
@@ -175,6 +177,141 @@ TEST(OptimizerTest, EstimatedRowsReflectSelectivity) {
                            db.Prepare("select * from A where a = 12"));
   ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr all_plan, db.Prepare("select * from A"));
   EXPECT_LT(eq_plan->estimated_rows, all_plan->estimated_rows);
+}
+
+/// Optimizes `sql` against a small indexed TPC-R instance.
+class TpcrPlanTest : public ::testing::Test {
+ protected:
+  TpcrPlanTest() {
+    TpcrConfig config;
+    config.customers_per_unit = 100;
+    config.seed = 5;
+    auto inst = BuildTpcr(&catalog_, config);
+    EXPECT_TRUE(inst.ok());
+    instance_ = *inst;
+    EXPECT_TRUE(BuildTpcrIndexes(&catalog_).ok());
+    EXPECT_TRUE(stats_.AnalyzeAll(catalog_).ok());
+  }
+
+  StatusOr<PhysOpPtr> Prepare(const std::string& sql) {
+    return erq::testing::PreparePlan(&catalog_, &stats_, sql);
+  }
+
+  std::string Date(size_t i) const {
+    return "DATE '" + DateToString(instance_.present_dates[i]) + "'";
+  }
+
+  Catalog catalog_;
+  StatsCatalog stats_;
+  TpcrInstance instance_;
+};
+
+/// The IndexScan over `table`, or null.
+const PhysicalOperator* FindIndexScanOn(const PhysOpPtr& root,
+                                        const std::string& table) {
+  if (root->kind == PhysOpKind::kIndexScan && root->table_name == table) {
+    return root.get();
+  }
+  for (const PhysOpPtr& c : root->children) {
+    const PhysicalOperator* found = FindIndexScanOn(c, table);
+    if (found != nullptr) return found;
+  }
+  return nullptr;
+}
+
+TEST_F(TpcrPlanTest, Q1DateDisjunctionIsOneTwoRangeIndexScan) {
+  QueryGenerator gen(&instance_, 3);
+  Q1Spec spec = gen.GenerateQ1(2, 1, /*want_empty=*/true);
+  ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan, Prepare(spec.ToSql()));
+  const PhysicalOperator* orders = FindIndexScanOn(plan, "orders");
+  ASSERT_NE(orders, nullptr) << plan->ToString();
+  EXPECT_EQ(orders->index_column, "orderdate");
+  EXPECT_EQ(orders->index_ranges.size(), 2u);
+  // The whole OR stays the index condition, so T3 sees what it saw when
+  // a Filter applied it.
+  ASSERT_NE(orders->index_condition, nullptr);
+  EXPECT_EQ(orders->index_condition->kind(), Expr::Kind::kOr);
+  EXPECT_NE(plan->ToString().find("ON orderdate (2 ranges)"),
+            std::string::npos)
+      << plan->ToString();
+  const PhysicalOperator* lineitem = FindIndexScanOn(plan, "lineitem");
+  ASSERT_NE(lineitem, nullptr);
+  EXPECT_EQ(lineitem->index_ranges.size(), 1u);
+  EXPECT_EQ(lineitem->ToString().find("ranges)"), std::string::npos);
+}
+
+TEST_F(TpcrPlanTest, InListIsOneTwoRangeIndexScan) {
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      PhysOpPtr plan, Prepare("select * from orders o where o.orderdate in (" +
+                              Date(0) + ", " + Date(1) + ")"));
+  const PhysicalOperator* orders = FindIndexScanOn(plan, "orders");
+  ASSERT_NE(orders, nullptr) << plan->ToString();
+  EXPECT_EQ(orders->index_column, "orderdate");
+  EXPECT_EQ(orders->index_ranges.size(), 2u);
+  EXPECT_EQ(FindOp(plan, PhysOpKind::kTableScan), nullptr);
+  EXPECT_NE(plan->ToString().find("ON orderdate (2 ranges)"),
+            std::string::npos);
+}
+
+TEST_F(TpcrPlanTest, UnservableDisjunctionsStayTableScanAndFilter) {
+  const std::string d0 = "o.orderdate = " + Date(0);
+  for (const std::string& pred : std::vector<std::string>{
+           d0 + " or o.custkey = 7", d0 + " or o.orderdate <> " + Date(1),
+        d0 + " or o.orderdate is null",
+        "o.orderdate not in (" + Date(0) + ", " + Date(1) + ")",
+        "o.custkey in (7, null)"}) {
+    ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan,
+                             Prepare("select * from orders o where " + pred));
+    EXPECT_EQ(FindOp(plan, PhysOpKind::kIndexScan), nullptr)
+        << pred << "\n" << plan->ToString();
+    EXPECT_NE(FindOp(plan, PhysOpKind::kTableScan), nullptr) << pred;
+    EXPECT_NE(FindOp(plan, PhysOpKind::kFilter), nullptr) << pred;
+  }
+}
+
+TEST_F(TpcrPlanTest, IndexScanCostChargesOneProbePerRange) {
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      PhysOpPtr one, Prepare("select * from orders o where o.custkey = 7"));
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      PhysOpPtr three,
+      Prepare("select * from orders o where o.custkey in (7, 8, 9)"));
+  const PhysicalOperator* a = FindIndexScanOn(one, "orders");
+  const PhysicalOperator* b = FindIndexScanOn(three, "orders");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->index_ranges.size(), 3u);
+  CostModel model(&stats_);
+  double table_rows = static_cast<double>(instance_.orders->num_rows());
+  EXPECT_DOUBLE_EQ(b->estimated_cost,
+                   model.IndexScanCost(table_rows, b->estimated_rows, 3));
+  // Three descents cost more than one over the same matching rows.
+  EXPECT_GT(model.IndexScanCost(table_rows, a->estimated_rows, 3),
+            a->estimated_cost);
+}
+
+TEST(OptimizerTest, IndexScanDisabledByOptionCoversDisjunctions) {
+  FixtureDb db;
+  ASSERT_TRUE(db.catalog().CreateIndex("A", "a").ok());
+  OptimizerOptions options;
+  options.enable_index_scan = false;
+  for (const char* sql : {"select * from A where a = 12 or a = 14",
+                          "select * from A where a in (12, 14)"}) {
+    ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan, db.Prepare(sql, options));
+    EXPECT_EQ(FindOp(plan, PhysOpKind::kIndexScan), nullptr) << sql;
+  }
+}
+
+TEST(OptimizerTest, NestedDisjunctionsFlattenIntoRanges) {
+  FixtureDb db;
+  ASSERT_TRUE(db.catalog().CreateIndex("A", "a").ok());
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      PhysOpPtr plan,
+      db.Prepare("select * from A where a < 11 or (a in (13, 15) or "
+                 "a between 17 and 18)"));
+  const PhysicalOperator* scan = FindOp(plan, PhysOpKind::kIndexScan);
+  ASSERT_NE(scan, nullptr) << plan->ToString();
+  EXPECT_EQ(scan->index_ranges.size(), 4u);
+  EXPECT_EQ(FindOp(plan, PhysOpKind::kFilter), nullptr);
 }
 
 TEST(SplitConjunctsTest, FlattensNestedAnds) {

@@ -80,6 +80,13 @@ TEST(CatalogTest, UpdateListenersFireOnAppendAndDrop) {
   EXPECT_EQ(events[0], "t");
 }
 
+/// Row ids of `index` within [lo, hi] per bounds.
+std::vector<size_t> Lookup(const SortedIndex& index, Bound lo, Bound hi) {
+  std::vector<size_t> out;
+  index.snapshot()->AppendRange(KeyRange{std::move(lo), std::move(hi)}, &out);
+  return out;
+}
+
 TEST(IndexTest, EqualAndRangeLookup) {
   Catalog c;
   auto t = c.CreateTable("t", AbSchema());
@@ -89,17 +96,26 @@ TEST(IndexTest, EqualAndRangeLookup) {
   }
   auto idx = c.CreateIndex("t", "a");
   ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(idx.value()->EqualLookup(Value::Int(3)).size(), 2u);
-  EXPECT_EQ(idx.value()->EqualLookup(Value::Int(99)).size(), 0u);
-  // [1, 3): values 1, 2 => 4 rows.
-  auto rows = idx.value()->RangeLookup(Bound::Inclusive(Value::Int(1)),
-                                       Bound::Exclusive(Value::Int(3)));
-  EXPECT_EQ(rows.size(), 4u);
-  // Unbounded scan returns everything.
-  EXPECT_EQ(idx.value()
-                ->RangeLookup(Bound::Unbounded(), Bound::Unbounded())
+  const SortedIndex& index = *idx.value();
+  // Key 3 sits in rows 3 and 8, emitted in row order.
+  EXPECT_EQ(Lookup(index, Bound::Inclusive(Value::Int(3)),
+                   Bound::Inclusive(Value::Int(3))),
+            (std::vector<size_t>{3, 8}));
+  EXPECT_EQ(Lookup(index, Bound::Inclusive(Value::Int(99)),
+                   Bound::Inclusive(Value::Int(99)))
                 .size(),
-            10u);
+            0u);
+  // [1, 3): values 1, 2 => 4 rows.
+  EXPECT_EQ(Lookup(index, Bound::Inclusive(Value::Int(1)),
+                   Bound::Exclusive(Value::Int(3)))
+                .size(),
+            4u);
+  // Unbounded scan returns everything; an inverted range nothing.
+  EXPECT_EQ(Lookup(index, Bound::Unbounded(), Bound::Unbounded()).size(), 10u);
+  EXPECT_EQ(Lookup(index, Bound::Inclusive(Value::Int(4)),
+                   Bound::Inclusive(Value::Int(1)))
+                .size(),
+            0u);
 }
 
 TEST(IndexTest, SkipsNullKeysAndRefreshes) {
@@ -110,12 +126,16 @@ TEST(IndexTest, SkipsNullKeysAndRefreshes) {
   t.value()->AppendUnchecked({Value::Int(1), Value::String("x")});
   auto idx = c.CreateIndex("t", "a");
   ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(idx.value()->num_entries(), 1u);
-  // Append more rows; FindIndex refreshes.
+  std::shared_ptr<const SortedIndex::Snapshot> before = idx.value()->snapshot();
+  EXPECT_EQ(before->num_entries(), 1u);
+  EXPECT_EQ(idx.value()->snapshot(), before);  // one build per version
+  // Append more rows: the next snapshot covers them, the old one is kept
+  // unchanged for readers still holding it.
   t.value()->AppendUnchecked({Value::Int(2), Value::String("y")});
   SortedIndex* found = c.FindIndex("t", "a");
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->num_entries(), 2u);
+  EXPECT_EQ(found->snapshot()->num_entries(), 2u);
+  EXPECT_EQ(before->num_entries(), 1u);
   EXPECT_EQ(c.FindIndex("t", "b"), nullptr);
 }
 

@@ -38,6 +38,17 @@ namespace erq::testing {
   ASSERT_TRUE(tmp.ok()) << "status: " << tmp.status().ToString();      \
   lhs = std::move(tmp).value()
 
+/// Parses, plans and optimizes `sql` against `catalog`.
+inline StatusOr<PhysOpPtr> PreparePlan(Catalog* catalog, StatsCatalog* stats,
+                                       const std::string& sql,
+                                       OptimizerOptions options = {}) {
+  ERQ_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, Parser::Parse(sql));
+  Planner planner(catalog);
+  ERQ_ASSIGN_OR_RETURN(PlannedQuery planned, planner.PlanStatement(*stmt));
+  Optimizer optimizer(catalog, stats, options);
+  return optimizer.Optimize(planned.root);
+}
+
 /// A small three-table fixture database:
 ///   A(a INT, b INT, c INT)           -- c is a join column to B.d
 ///   B(d INT, e INT)
@@ -77,22 +88,14 @@ class FixtureDb {
   /// Parses, plans, optimizes, executes; returns the result rows.
   StatusOr<ExecutionResult> Run(const std::string& sql,
                                 OptimizerOptions options = {}) {
-    ERQ_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, Parser::Parse(sql));
-    Planner planner(&catalog_);
-    ERQ_ASSIGN_OR_RETURN(PlannedQuery planned, planner.PlanStatement(*stmt));
-    Optimizer optimizer(&catalog_, &stats_, options);
-    ERQ_ASSIGN_OR_RETURN(PhysOpPtr physical, optimizer.Optimize(planned.root));
+    ERQ_ASSIGN_OR_RETURN(PhysOpPtr physical, Prepare(sql, options));
     return Executor::Run(physical);
   }
 
   /// Plans and optimizes only.
   StatusOr<PhysOpPtr> Prepare(const std::string& sql,
                               OptimizerOptions options = {}) {
-    ERQ_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, Parser::Parse(sql));
-    Planner planner(&catalog_);
-    ERQ_ASSIGN_OR_RETURN(PlannedQuery planned, planner.PlanStatement(*stmt));
-    Optimizer optimizer(&catalog_, &stats_, options);
-    return optimizer.Optimize(planned.root);
+    return PreparePlan(&catalog_, &stats_, sql, options);
   }
 
   /// Logical plan only.

@@ -98,6 +98,25 @@ print("cover tests per lookup: OK (%.2f over %d lookups)"
   else
     bad "plain (cover tests per lookup)"
   fi
+  # Multi-range index scans: over the same seeded 1000-query TPC-R trace an
+  # execution reads at most 100 rows on average. The count is
+  # deterministic; full-scanning `orders` for Q1's date disjunction read
+  # ~5000, serving each disjunct through the orderdate index reads ~16.
+  log "plain: metrics_dump rows scanned per execution"
+  if "$dir/tools/metrics_dump" --trace tpcr --json --queries 1000 \
+      | python3 -c '
+import json, sys
+counters = json.load(sys.stdin)["counters"]
+runs = counters["erq.exec.runs"]
+per_run = counters["erq.exec.rows_scanned"] / max(runs, 1)
+assert runs > 0, "no plan was executed"
+assert per_run <= 100, "%.1f rows scanned per execution (want <= 100)" % per_run
+print("rows scanned per execution: OK (%.1f over %d runs)" % (per_run, runs))
+'; then
+    ok "plain (rows scanned per execution)"
+  else
+    bad "plain (rows scanned per execution)"
+  fi
   # Partition-pruning smoke: over a partitioned index-free TPC-R
   # instance, a canned selective query must skip partitions — the binary
   # itself fails on zero pruned, and the emitted registry dump must carry
