@@ -138,6 +138,33 @@ class EpochManager {
   std::function<void(bool)> advance_hook_;
 };
 
+/// An atomic pointer to an immutable `T`, replaced whole by writers.
+/// Readers Load() inside an EpochReadGuard of the domain the writers
+/// retire into; writers serialize among themselves and Publish(), which
+/// epoch-retires the replaced value. Owns its current value.
+template <typename T>
+class EpochPublished {
+ public:
+  explicit EpochPublished(const T* initial) : ptr_(initial) {}
+  ~EpochPublished() { delete ptr_.load(std::memory_order_relaxed); }
+
+  EpochPublished(const EpochPublished&) = delete;
+  EpochPublished& operator=(const EpochPublished&) = delete;
+
+  /// The current value (acquire): valid until the caller's epoch guard
+  /// exits, or while it is the writer that would replace it.
+  const T* Load() const { return ptr_.load(std::memory_order_acquire); }
+
+  /// Swaps `next` in and retires the predecessor into `epoch`.
+  void Publish(const T* next, EpochManager* epoch) {
+    const T* old = ptr_.exchange(next, std::memory_order_acq_rel);
+    epoch->Retire([old] { delete old; });
+  }
+
+ private:
+  std::atomic<const T*> ptr_;
+};
+
 /// RAII read-side critical section. While alive, any pointer published
 /// before (or during) the guard's lifetime stays valid even if a writer
 /// concurrently retires it. tools/lock_lint.py treats the guard as a

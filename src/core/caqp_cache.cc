@@ -1,7 +1,6 @@
 #include "core/caqp_cache.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <iterator>
 #include <string_view>
@@ -15,8 +14,6 @@ namespace erq {
 namespace {
 
 constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
-constexpr std::memory_order kAcquire = std::memory_order_acquire;
-constexpr std::memory_order kAcqRel = std::memory_order_acq_rel;
 
 /// The run of key-sorted `postings` under `key`, or under every key of
 /// `key`'s column when `whole_column`.
@@ -59,18 +56,7 @@ CaqpCache::Instruments CaqpCache::ResolveInstruments(MetricsRegistry& scope) {
 }
 
 CaqpCache::CaqpCache(size_t n_max)
-    : n_max_(n_max), metrics_(ResolveInstruments(scope_)) {
-  // Publish an empty snapshot so readers never see null.
-  published_.store(new Index, std::memory_order_release);
-}
-
-CaqpCache::~CaqpCache() {
-  // No lookup may be in flight: drain retired snapshots, then drop the
-  // published one (entries/items are freed via shared_ptr once the
-  // writer-side vectors go).
-  epoch_.ReclaimAll();
-  delete published_.exchange(nullptr, kAcqRel);
-}
+    : n_max_(n_max), metrics_(ResolveInstruments(scope_)) {}
 
 // ---------------------------------------------------------------------------
 // In-entry index
@@ -184,7 +170,7 @@ bool CaqpCache::EntryCovers(const PublishedEntry& entry,
     return false;
   }
   if (!entry.relations.IsSubsetOf(aqp.relations())) return false;
-  const EntryItems& items = *entry.items.load(kAcquire);
+  const EntryItems& items = *entry.items.Load();
   auto covers = [&](uint32_t i) {
     ++work->conditions;
     const PubItem& part = *items.parts[i];
@@ -242,8 +228,7 @@ bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
   bool hit;
   {
     EpochReadGuard guard(&epoch_);
-    hit = FindCovering(*published_.load(kAcquire), aqp, keys, query_sig,
-                       &work);
+    hit = FindCovering(*published_.Load(), aqp, keys, query_sig, &work);
   }
   // Counted after the epoch section, which stays as short as the search:
   // a pinned epoch holds back reclamation for every writer.
@@ -260,12 +245,12 @@ bool CaqpCache::CoveredBy(const AtomicQueryPart& aqp) {
 // Writer path
 // ---------------------------------------------------------------------------
 
-std::vector<size_t> CaqpCache::SupersetCandidatesLocked(
+std::vector<CaqpCache::PublishedEntry*> CaqpCache::SupersetCandidatesLocked(
     const RelationSet& relations) const {
-  std::vector<size_t> out;
   if (relations.empty()) {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].alive) out.push_back(i);
+    std::vector<PublishedEntry*> out;
+    for (const PublishedEntryPtr& entry : published_.Load()->entries) {
+      out.push_back(entry.get());
     }
     return out;
   }
@@ -273,41 +258,55 @@ std::vector<size_t> CaqpCache::SupersetCandidatesLocked(
   // under all of them; the rarest name's posting list is the cheapest
   // complete candidate set. A name with no posting list means no entry
   // can be a superset.
-  const std::vector<size_t>* best = nullptr;
+  const std::vector<PublishedEntry*>* best = nullptr;
   for (const std::string& name : relations.names()) {
     auto it = postings_.find(name);
-    if (it == postings_.end()) return out;
+    if (it == postings_.end()) return {};
     if (best == nullptr || it->second.size() < best->size()) {
       best = &it->second;
     }
   }
-  out = *best;  // copied: the caller mutates the index while processing
-  return out;
+  return *best;
 }
 
-void CaqpCache::RepublishEntryItemsLocked(Entry& entry,
+void CaqpCache::RepublishEntryItemsLocked(PublishedEntry& entry,
                                           const EntryItems* next) {
-  const EntryItems* old = entry.pub->items.exchange(next, kAcqRel);
-  epoch_.Retire([old] { delete old; });
+  entry.items.Publish(next, &epoch_);
   metrics_.epoch_retired->Increment();
 }
 
-void CaqpCache::RebuildIndexLocked() {
+void CaqpCache::RebuildIndexLocked(PublishedEntryPtr created) {
+  const Index& old = *published_.Load();
   auto* index = new Index;
-  index->entries.reserve(entries_.size() - free_entries_.size());
+  index->entries.reserve(old.entries.size() + 1);
+  for (const PublishedEntryPtr& entry : old.entries) {
+    if (!entry->items.Load()->parts.empty()) {
+      index->entries.push_back(entry);
+      continue;
+    }
+    // Garbage-collect the emptied entry: the old index keeps it alive
+    // for the readers that may still walk it.
+    for (const std::string& name : entry->relations.names()) {
+      auto it = postings_.find(name);
+      std::vector<PublishedEntry*>& list = it->second;
+      auto pos = std::find(list.begin(), list.end(), entry.get());
+      *pos = list.back();  // order within a posting list is irrelevant
+      list.pop_back();
+      if (list.empty()) postings_.erase(it);
+    }
+    entries_.erase(entry->relations.Key());
+  }
+  if (created != nullptr) index->entries.push_back(std::move(created));
   index->postings.reserve(postings_.size());
-  for (const Entry& entry : entries_) {
-    if (!entry.alive) continue;
-    index->entries.push_back(entry.pub);
-    const PublishedEntry* pub = entry.pub.get();
-    if (pub->relations.empty()) {
-      index->empty_rel_entry = pub;
+  for (const PublishedEntryPtr& entry : index->entries) {
+    if (entry->relations.empty()) {
+      index->empty_rel_entry = entry.get();
     } else {
-      index->postings[pub->relations.names().front()].push_back(pub);
+      index->postings[entry->relations.names().front()].push_back(
+          entry.get());
     }
   }
-  const Index* old = published_.exchange(index, kAcqRel);
-  epoch_.Retire([old] { delete old; });
+  published_.Publish(index, &epoch_);
   metrics_.epoch_retired->Increment();
 }
 
@@ -323,153 +322,118 @@ void CaqpCache::Insert(const AtomicQueryPart& aqp) {
   // and cannot be reclaimed under us: no epoch pin is needed. A covering
   // part gets its reference bit set — it proved useful again.
   LookupWork scratch;  // insert-side searches are not lookup statistics
-  if (FindCovering(*published_.load(kRelaxed), aqp, keys, new_sig,
-                   &scratch)) {
+  if (FindCovering(*published_.Load(), aqp, keys, new_sig, &scratch)) {
     metrics_.skipped_covered->Increment();
     return;
   }
 
   // Second: drop stored parts that the new one covers. They live in
   // entries whose relation set is a superset of the new part's.
-  bool membership_changed = false;
-  for (size_t id : SupersetCandidatesLocked(aqp.relations())) {
-    const Entry& entry = entries_[id];
-    if (!entry.alive || !new_sig.MaybeSubsetOf(entry.signature) ||
-        !aqp.relations().IsSubsetOf(entry.relations)) {
+  bool emptied = false;
+  for (PublishedEntry* entry : SupersetCandidatesLocked(aqp.relations())) {
+    if (!new_sig.MaybeSubsetOf(entry->signature) ||
+        !aqp.relations().IsSubsetOf(entry->relations)) {
       continue;
     }
-    membership_changed |= DisplaceCoveredLocked(id, aqp, keys);
+    emptied |= DisplaceCoveredLocked(*entry, aqp, keys);
   }
 
   // Capacity: make room first, so N_max holds at every instant.
-  while (live_.load(kRelaxed) >= n_max_ && EvictOneLocked()) {
+  while (live_.load(kRelaxed) >= n_max_ && EvictOneLocked(&emptied)) {
   }
 
-  bool created = false;
-  const size_t entry_idx = GetOrCreateEntryLocked(aqp.relations(), &created);
-  size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = slots_.size();
-    slots_.emplace_back();
-  }
-  Item& item = slots_[slot];
-  item.part = std::make_shared<PubItem>();
-  item.part->aqp = aqp;
-  item.part->ref.store(true, kRelaxed);
-  item.alive = true;
-  item.entry_index = entry_idx;
-  Entry& entry = entries_[entry_idx];
-  entry.items.push_back(slot);
+  PublishedEntryPtr created;
+  PublishedEntry& entry = GetOrCreateEntryLocked(aqp.relations(), &created);
+  auto part = std::make_shared<PubItem>();
+  part->aqp = aqp;
+  part->ref.store(true, kRelaxed);
   live_.fetch_add(1, kRelaxed);
   metrics_.inserted->Increment();
   metrics_.size->Add(1);
   RepublishEntryItemsLocked(
-      entry,
-      EntryItems::WithAdded(*entry.pub->items.load(kRelaxed), item.part, keys));
-  if (membership_changed || created) RebuildIndexLocked();
+      entry, EntryItems::WithAdded(*entry.items.Load(), std::move(part), keys));
+  if (emptied || created != nullptr) RebuildIndexLocked(std::move(created));
   if (listener_ != nullptr) listener_->OnInsert(aqp);
 }
 
-bool CaqpCache::EvictOneLocked() {
-  const size_t live = live_.load(kRelaxed);
-  if (live == 0 || slots_.empty()) return false;
-  // Bounded two-pass sweep: the first full revolution may clear every
-  // reference bit, the second must then find a victim — unless live and
-  // slots disagree, which the repair path below handles instead of
-  // spinning forever.
-  const size_t bound = 2 * slots_.size() + 1;
-  for (size_t step = 0; step < bound; ++step, ++clock_hand_) {
-    if (clock_hand_ >= slots_.size()) clock_hand_ = 0;
-    Item& item = slots_[clock_hand_];
-    if (!item.alive) continue;
-    if (item.part->ref.load(kRelaxed)) {
-      item.part->ref.store(false, kRelaxed);
-      continue;
+bool CaqpCache::EvictOneLocked(bool* emptied) {
+  const std::vector<PublishedEntryPtr>& entries = published_.Load()->entries;
+  if (entries.empty()) return false;
+  // Bounded sweep from the hand over the parts of `entries` in order: the
+  // first revolution may clear every reference bit, the second then meets
+  // a cleared one. Partless entries cost no step, and 2·entries+1 visits
+  // cover two revolutions.
+  size_t steps = 2 * live_.load(kRelaxed) + 1;
+  for (size_t visit = 0; visit <= 2 * entries.size() && steps > 0; ++visit) {
+    if (clock_entry_ >= entries.size()) {
+      clock_entry_ = 0;
+      clock_part_ = 0;
     }
-    const size_t victim = clock_hand_++;
-    const size_t entry_idx = item.entry_index;
-    const std::vector<size_t>& items = entries_[entry_idx].items;
-    std::vector<bool> drop(items.size(), false);
-    drop[std::find(items.begin(), items.end(), victim) - items.begin()] = true;
-    if (RemoveItemsLocked(entry_idx, RemoveReason::kEvicted, drop)) {
-      RebuildIndexLocked();
+    PublishedEntry& entry = *entries[clock_entry_];
+    const EntryItems& items = *entry.items.Load();
+    for (; clock_part_ < items.parts.size() && steps > 0;
+         ++clock_part_, --steps) {
+      const PubItem& part = *items.parts[clock_part_];
+      if (part.ref.load(kRelaxed)) {
+        part.ref.store(false, kRelaxed);
+        continue;
+      }
+      // The hand stays put: the next part moves into the victim's place.
+      std::vector<bool> drop(items.parts.size(), false);
+      drop[clock_part_] = true;
+      *emptied |= RemoveItemsLocked(entry, RemoveReason::kEvicted, drop);
+      return true;
     }
-    return true;
+    ++clock_entry_;
+    clock_part_ = 0;
   }
-  // live > 0 yet no live slot was found: the bookkeeping has diverged.
-  // Re-derive the count so callers' capacity loops terminate rather than
-  // spin.
-  assert(false && "CaqpCache: live > 0 but no live slot found");
-  size_t actual = 0;
-  for (const Item& item : slots_) {
-    if (item.alive) ++actual;
-  }
-  metrics_.size->Set(static_cast<int64_t>(actual));
-  live_.store(actual, kRelaxed);
   return false;
 }
 
-void CaqpCache::ReleaseSlotLocked(size_t slot, RemoveReason reason) {
-  Item& item = slots_[slot];
-  if (listener_ != nullptr) listener_->OnRemove(item.part->aqp, reason);
-  item.alive = false;
-  item.part.reset();  // release the condition's memory
-  free_slots_.push_back(slot);
-  live_.fetch_sub(1, kRelaxed);
-  metrics_.size->Add(-1);
+bool CaqpCache::RemoveItemsLocked(PublishedEntry& entry, RemoveReason reason,
+                                  const std::vector<bool>& drop) {
+  const auto dropped =
+      static_cast<size_t>(std::count(drop.begin(), drop.end(), true));
+  if (dropped == 0) return false;
+  const EntryItems& items = *entry.items.Load();
+  if (listener_ != nullptr) {
+    for (size_t i = 0; i < drop.size(); ++i) {
+      if (drop[i]) listener_->OnRemove(items.parts[i]->aqp, reason);
+    }
+  }
+  live_.fetch_sub(dropped, kRelaxed);
+  metrics_.size->Add(-static_cast<int64_t>(dropped));
   switch (reason) {
     case RemoveReason::kEvicted:
-      metrics_.evictions->Increment();
+      metrics_.evictions->Increment(dropped);
       break;
     case RemoveReason::kDisplaced:
-      metrics_.removed_covered->Increment();
+      metrics_.removed_covered->Increment(dropped);
       break;
     case RemoveReason::kInvalidated:
-      metrics_.invalidation_drops->Increment();
+      metrics_.invalidation_drops->Increment(dropped);
       break;
   }
-}
-
-bool CaqpCache::RemoveItemsLocked(size_t idx, RemoveReason reason,
-                                  const std::vector<bool>& drop) {
-  if (std::find(drop.begin(), drop.end(), true) == drop.end()) return false;
-  Entry& entry = entries_[idx];
-  std::vector<size_t> kept;
-  kept.reserve(entry.items.size());
-  for (size_t i = 0; i < entry.items.size(); ++i) {
-    if (drop[i]) {
-      ReleaseSlotLocked(entry.items[i], reason);
-    } else {
-      kept.push_back(entry.items[i]);
-    }
-  }
-  entry.items = std::move(kept);
-  if (entry.items.empty()) {
-    RemoveEntryLocked(idx);
-    return true;
-  }
-  RepublishEntryItemsLocked(
-      entry, EntryItems::WithRemoved(*entry.pub->items.load(kRelaxed), drop));
-  return false;
+  const bool now_empty = dropped == items.parts.size();
+  RepublishEntryItemsLocked(entry, EntryItems::WithRemoved(items, drop));
+  return now_empty;
 }
 
 bool CaqpCache::RemoveItemsIfLocked(
-    size_t idx, RemoveReason reason,
+    PublishedEntry& entry, RemoveReason reason,
     const std::function<bool(const AtomicQueryPart&)>& pred) {
-  const std::vector<size_t>& items = entries_[idx].items;
-  std::vector<bool> drop(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    drop[i] = pred(slots_[items[i]].part->aqp);
+  const EntryItems& items = *entry.items.Load();
+  std::vector<bool> drop(items.parts.size());
+  for (size_t i = 0; i < items.parts.size(); ++i) {
+    drop[i] = pred(items.parts[i]->aqp);
   }
-  return RemoveItemsLocked(idx, reason, drop);
+  return RemoveItemsLocked(entry, reason, drop);
 }
 
-bool CaqpCache::DisplaceCoveredLocked(size_t idx, const AtomicQueryPart& aqp,
+bool CaqpCache::DisplaceCoveredLocked(PublishedEntry& entry,
+                                      const AtomicQueryPart& aqp,
                                       const std::vector<TermKey>& keys) {
-  const EntryItems& items = *entries_[idx].pub->items.load(kRelaxed);
+  const EntryItems& items = *entry.items.Load();
   std::vector<bool> drop(items.parts.size(), false);
   auto test = [&](uint32_t i) {
     if (!drop[i]) drop[i] = aqp.Covers(items.parts[i]->aqp);
@@ -496,72 +460,20 @@ bool CaqpCache::DisplaceCoveredLocked(size_t idx, const AtomicQueryPart& aqp,
       for (auto it = lo; it != hi; ++it) test(it->part);
     }
   }
-  return RemoveItemsLocked(idx, RemoveReason::kDisplaced, drop);
+  return RemoveItemsLocked(entry, RemoveReason::kDisplaced, drop);
 }
 
-void CaqpCache::RemoveEntryLocked(size_t idx) {
-  Entry& entry = entries_[idx];
-  entry_index_.erase(entry.relations.Key());
-  if (entry.relations.empty()) {
-    if (empty_rel_entry_ == idx) empty_rel_entry_ = kNoEntry;
-  } else {
-    for (const std::string& name : entry.relations.names()) {
-      auto it = postings_.find(name);
-      if (it == postings_.end()) continue;
-      std::vector<size_t>& list = it->second;
-      auto pos = std::find(list.begin(), list.end(), idx);
-      if (pos != list.end()) {
-        *pos = list.back();  // order within a posting list is irrelevant
-        list.pop_back();
-      }
-      if (list.empty()) postings_.erase(it);
-    }
-  }
-  entry.alive = false;
-  entry.relations = RelationSet();
-  entry.signature = RelationSignature();
-  entry.items.clear();
-  // Snapshots still referencing the published face keep it alive; the
-  // writer just drops its reference.
-  entry.pub.reset();
-  free_entries_.push_back(idx);
-}
-
-size_t CaqpCache::GetOrCreateEntryLocked(const RelationSet& relations,
-                                         bool* created) {
-  std::string key = relations.Key();
-  auto it = entry_index_.find(key);
-  if (it != entry_index_.end()) {
-    *created = false;
-    return it->second;
-  }
-  *created = true;
-  size_t idx;
-  if (!free_entries_.empty()) {
-    idx = free_entries_.back();
-    free_entries_.pop_back();
-  } else {
-    entries_.emplace_back();
-    idx = entries_.size() - 1;
-  }
-  Entry& entry = entries_[idx];
-  entry.alive = true;
-  entry.relations = relations;
-  entry.signature = RelationSignature::Of(relations);
-  entry.items.clear();
-  entry.pub = std::make_shared<PublishedEntry>();
-  entry.pub->relations = relations;
-  entry.pub->signature = entry.signature;
-  entry.pub->items.store(new EntryItems, std::memory_order_release);
-  if (relations.empty()) {
-    empty_rel_entry_ = idx;
-  } else {
+CaqpCache::PublishedEntry& CaqpCache::GetOrCreateEntryLocked(
+    const RelationSet& relations, PublishedEntryPtr* created) {
+  auto [it, inserted] = entries_.try_emplace(relations.Key());
+  if (inserted) {
+    it->second = std::make_shared<PublishedEntry>(relations);
     for (const std::string& name : relations.names()) {
-      postings_[name].push_back(idx);
+      postings_[name].push_back(it->second.get());
     }
+    *created = it->second;
   }
-  entry_index_.emplace(std::move(key), idx);
-  return idx;
+  return *it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -573,15 +485,12 @@ void CaqpCache::Clear() {
   if (listener_ != nullptr) listener_->OnClear();
   metrics_.size->Set(0);
   live_.store(0, kRelaxed);
-  slots_.clear();
-  free_slots_.clear();
   entries_.clear();
-  free_entries_.clear();
-  entry_index_.clear();
   postings_.clear();
-  empty_rel_entry_ = kNoEntry;
-  clock_hand_ = 0;
-  RebuildIndexLocked();  // publishes an empty snapshot
+  clock_entry_ = 0;
+  clock_part_ = 0;
+  published_.Publish(new Index, &epoch_);
+  metrics_.epoch_retired->Increment();
 }
 
 void CaqpCache::InvalidateRelation(const std::string& base_name) {
@@ -591,36 +500,27 @@ void CaqpCache::InvalidateRelation(const std::string& base_name) {
   // The writer-side posting keys are exactly the relation names of live
   // entries, so matching keys (base and renamed occurrences "base#k")
   // enumerate the affected entries. A self-join entry appears under
-  // several matching names — dedup before dropping, and copy the ids out
-  // because dropping mutates the index.
-  std::vector<size_t> affected;
+  // several matching names; its second visit finds it empty.
+  auto all = [](const AtomicQueryPart&) { return true; };
+  bool emptied = false;
   for (const auto& [name, list] : postings_) {
-    if (name == base || StartsWith(name, prefix)) {
-      affected.insert(affected.end(), list.begin(), list.end());
+    if (name != base && !StartsWith(name, prefix)) continue;
+    for (PublishedEntry* entry : list) {
+      emptied |= RemoveItemsIfLocked(*entry, RemoveReason::kInvalidated, all);
     }
   }
-  if (affected.empty()) return;
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  for (size_t idx : affected) {
-    RemoveItemsIfLocked(idx, RemoveReason::kInvalidated,
-                        [](const AtomicQueryPart&) { return true; });
-  }
-  RebuildIndexLocked();
+  if (emptied) RebuildIndexLocked(nullptr);
 }
 
 size_t CaqpCache::DropIf(
     const std::function<bool(const AtomicQueryPart&)>& pred) {
   MutexLock lock(&mu_);
   const size_t before = live_.load(kRelaxed);
-  bool membership_changed = false;
-  for (size_t idx = 0; idx < entries_.size(); ++idx) {
-    if (!entries_[idx].alive) continue;
-    membership_changed |=
-        RemoveItemsIfLocked(idx, RemoveReason::kInvalidated, pred);
+  bool emptied = false;
+  for (const PublishedEntryPtr& entry : published_.Load()->entries) {
+    emptied |= RemoveItemsIfLocked(*entry, RemoveReason::kInvalidated, pred);
   }
-  if (membership_changed) RebuildIndexLocked();
+  if (emptied) RebuildIndexLocked(nullptr);
   return before - live_.load(kRelaxed);
 }
 
@@ -644,8 +544,7 @@ CaqpCache::CacheStats CaqpCache::stats_snapshot() const {
   out.signature_rejects = metrics_.signature_rejects->Value();
   {
     MutexLock lock(&mu_);
-    out.entries_live = entries_.size() - free_entries_.size();
-    out.entries_allocated = entries_.size();
+    out.entries_live = entries_.size();
     out.index_names = postings_.size();
   }
   EpochManager::Stats es = epoch_.GetStats();
@@ -670,9 +569,8 @@ std::string CaqpCache::Explain() const {
         max_name = name;
       }
     }
-    for (const Entry& entry : entries_) {
-      if (!entry.alive) continue;
-      const EntryItems& items = *entry.pub->items.load(kRelaxed);
+    for (const PublishedEntryPtr& entry : published_.Load()->entries) {
+      const EntryItems& items = *entry->items.Load();
       anchored += items.anchors.size();
       residual += items.residual.size();
       for (auto it = items.anchors.begin(); it != items.anchors.end();) {
@@ -692,12 +590,11 @@ std::string CaqpCache::Explain() const {
   char buf[512];
   std::string out;
   std::snprintf(buf, sizeof(buf),
-                "C_aqp: %llu/%llu parts in %llu entries (%llu allocated), "
-                "%llu names indexed\n",
+                "C_aqp: %llu/%llu parts in %llu entries, %llu names "
+                "indexed\n",
                 static_cast<unsigned long long>(live),
                 static_cast<unsigned long long>(n_max_),
                 static_cast<unsigned long long>(s.entries_live),
-                static_cast<unsigned long long>(s.entries_allocated),
                 static_cast<unsigned long long>(s.index_names));
   out += buf;
   std::snprintf(buf, sizeof(buf),
@@ -738,9 +635,8 @@ std::vector<AtomicQueryPart> CaqpCache::Snapshot() const {
   std::vector<AtomicQueryPart> out;
   out.reserve(live_.load(kRelaxed));
   EpochReadGuard guard(&epoch_);
-  const Index* index = published_.load(kAcquire);
-  for (const PublishedEntryPtr& entry : index->entries) {
-    const EntryItems* items = entry->items.load(kAcquire);
+  for (const PublishedEntryPtr& entry : published_.Load()->entries) {
+    const EntryItems* items = entry->items.Load();
     for (const PubItemPtr& part : items->parts) out.push_back(part->aqp);
   }
   return out;

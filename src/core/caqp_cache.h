@@ -60,12 +60,14 @@ namespace erq {
 /// cover nothing but a probe term pinned to the same value). Insert
 /// answers its redundancy check through the same lookup, and displacement
 /// tests only the stored parts that carry the new part's equality term.
-/// Entries whose last stored part is removed are garbage-collected (index
-/// keys and entry slots are reclaimed through free lists), so churny
-/// invalidate/insert workloads cannot grow the entry table without bound.
-/// Replacement is clock (reference bits set on coverage hits); redundancy
-/// is removed by keeping only the most general parts (covered parts are
-/// dropped on insert, and an insert that is itself covered is skipped).
+/// The published entries are the only copy of the stored parts: the
+/// writer keeps just a key map and all-name postings over them. An entry
+/// whose last part is removed leaves the index at the end of that
+/// mutation, so churny invalidate/insert workloads cannot grow it without
+/// bound. Replacement is clock over the published parts in index order
+/// (reference bits set on coverage hits); redundancy is removed by keeping
+/// only the most general parts (covered parts are dropped on insert, and
+/// an insert that is itself covered is skipped).
 class CaqpCache {
  public:
   /// Why a stored part left the cache (passed to ChangeListener::OnRemove).
@@ -116,11 +118,9 @@ class CaqpCache {
     uint64_t signature_rejects = 0;  ///< candidates the signature filter cut
 
     // Gauges sampled when stats_snapshot() is called.
-    uint64_t entries_live = 0;       ///< entries currently holding parts
-    uint64_t entries_allocated = 0;  ///< entry slots ever allocated (bounded
-                                     ///< by GC + free-list reuse)
-    uint64_t index_names = 0;        ///< distinct relation names indexed
-    uint64_t epoch_pending = 0;      ///< retired snapshots not yet reclaimed
+    uint64_t entries_live = 0;   ///< entries currently holding parts
+    uint64_t index_names = 0;    ///< distinct relation names indexed
+    uint64_t epoch_pending = 0;  ///< retired snapshots not yet reclaimed
   };
 
   /// A cache holding at most `n_max` parts (0 stores nothing).
@@ -129,7 +129,7 @@ class CaqpCache {
   /// Reclaims every retired snapshot. No lookup may be in flight. (The
   /// metrics scope takes this instance's live parts out of the global
   /// `erq.caqp.size` gauge as it goes.)
-  ~CaqpCache();
+  ~CaqpCache() = default;
 
   /// True if some stored atomic query part covers `aqp` — i.e. the output
   /// of `aqp` is provably empty (Theorem 2). Sets the covering part's
@@ -188,11 +188,9 @@ class CaqpCache {
   void SetChangeListener(ChangeListener* listener) ERQ_EXCLUDES(mu_);
 
  private:
-  static constexpr size_t kNoEntry = static_cast<size_t>(-1);
-
-  /// One stored condition, shared between the writer-side slot table and
-  /// every published snapshot that mentions it, so the reference bit a
-  /// lookup sets survives republication and stays visible to the evictor.
+  /// One stored condition, shared by every published version of its
+  /// entry's contents, so the reference bit a lookup sets survives
+  /// republication and stays visible to the clock.
   struct PubItem {
     AtomicQueryPart aqp;
     // Clock reference bit, set by lock-free lookups: a relaxed atomic,
@@ -237,7 +235,7 @@ class CaqpCache {
   /// object (O(entry), no sort), then swapped in and the predecessor
   /// epoch-retired.
   struct EntryItems {
-    // Live parts in insertion order (the writer's Entry::items order).
+    // Live parts in insertion order: the order the clock visits them.
     std::vector<PubItemPtr> parts;
     // One posting per part that has a point key, under the key whose
     // bucket was smallest when it was stored; sorted by (key, part).
@@ -266,10 +264,11 @@ class CaqpCache {
   /// the index. The destructor (which runs only after every snapshot
   /// naming the entry has been reclaimed) frees the final contents.
   struct PublishedEntry {
-    RelationSet relations;
-    RelationSignature signature;
-    std::atomic<const EntryItems*> items{nullptr};
-    ~PublishedEntry() { delete items.load(std::memory_order_relaxed); }
+    explicit PublishedEntry(const RelationSet& set)
+        : relations(set), signature(RelationSignature::Of(set)) {}
+    const RelationSet relations;
+    const RelationSignature signature;
+    EpochPublished<EntryItems> items{new EntryItems};
   };
   using PublishedEntryPtr = std::shared_ptr<PublishedEntry>;
 
@@ -279,8 +278,9 @@ class CaqpCache {
   /// into them, so a rebuild copies no strings and touches no reference
   /// counts beyond one per entry.
   struct Index {
-    // Every live entry: the owners behind `postings` and
-    // `empty_rel_entry`, and what Snapshot() walks.
+    // Every live entry in creation order: the owners behind `postings`
+    // and `empty_rel_entry`, what Snapshot() walks and what the clock
+    // sweeps.
     std::vector<PublishedEntryPtr> entries;
     // First relation name -> entries whose first name it is. An entry is
     // a candidate for a probe name exactly when it is posted under that
@@ -290,22 +290,6 @@ class CaqpCache {
     // The (at most one) entry over the empty relation set: a subset of
     // everything, posted nowhere.
     const PublishedEntry* empty_rel_entry = nullptr;
-  };
-
-  /// Writer-side slot for one stored condition.
-  struct Item {
-    PubItemPtr part;  // null when the slot is free
-    bool alive = false;
-    size_t entry_index = 0;
-  };
-
-  /// Writer-side entry state.
-  struct Entry {
-    bool alive = false;
-    RelationSet relations;
-    RelationSignature signature;
-    std::vector<size_t> items;  // slot indices, parallel to pub's parts
-    PublishedEntryPtr pub;      // the stable reader-visible face
   };
 
   /// Per-lookup work tally, accumulated locally and flushed to the atomic
@@ -354,53 +338,54 @@ class CaqpCache {
                    LookupWork* work) const;
 
   // ---- writer path ------------------------------------------------------
+  //
+  // Under `mu_` the published index is current, with one lapse: an entry
+  // a mutation empties stays in it, partless, until that mutation ends in
+  // RebuildIndexLocked. Readers and the clock pass such entries over.
 
-  /// Ids of entries whose relation set could be a superset of `relations`
+  /// Entries whose relation set could be a superset of `relations`
   /// (every superset entry posts under each of `relations`' names, so the
-  /// rarest name's posting list suffices). Copied out because the caller
-  /// mutates the index while processing.
-  std::vector<size_t> SupersetCandidatesLocked(
+  /// rarest name's posting list suffices).
+  std::vector<PublishedEntry*> SupersetCandidatesLocked(
       const RelationSet& relations) const ERQ_REQUIRES(mu_);
 
-  /// One bounded clock revolution; false when the cache holds no part
-  /// (callers' capacity loops terminate).
-  bool EvictOneLocked() ERQ_REQUIRES(mu_);
+  /// Evicts the first part the clock hand meets with a clear reference
+  /// bit, clearing the set bits it passes, within 2·live+1 steps; sets
+  /// `*emptied` if that empties the part's entry. False when no victim
+  /// was found (callers' capacity loops terminate).
+  bool EvictOneLocked(bool* emptied) ERQ_REQUIRES(mu_);
 
-  /// Frees `slot` (listener notified with `reason`) without touching its
-  /// entry's item list; the caller fixes the entry up.
-  void ReleaseSlotLocked(size_t slot, RemoveReason reason) ERQ_REQUIRES(mu_);
-  /// Removes the items of entry `idx` flagged in `drop` (indexed like its
-  /// items), counting them as `reason`; garbage-collects the entry if it
-  /// empties (returns true then: the caller must RebuildIndexLocked) or
-  /// republishes its items otherwise.
-  bool RemoveItemsLocked(size_t idx, RemoveReason reason,
+  /// Removes the parts of `entry` flagged in `drop` (indexed like its
+  /// parts), notifying the listener and counting them as `reason`, and
+  /// republishes its contents. True when that empties the entry: the
+  /// caller must RebuildIndexLocked before its mutation ends.
+  bool RemoveItemsLocked(PublishedEntry& entry, RemoveReason reason,
                          const std::vector<bool>& drop) ERQ_REQUIRES(mu_);
-  /// RemoveItemsLocked over the items for which `pred` holds.
+  /// RemoveItemsLocked over the parts for which `pred` holds.
   bool RemoveItemsIfLocked(
-      size_t idx, RemoveReason reason,
+      PublishedEntry& entry, RemoveReason reason,
       const std::function<bool(const AtomicQueryPart&)>& pred)
       ERQ_REQUIRES(mu_);
-  /// Drops the parts of entry `idx` that `aqp` (whose KeysOf are `keys`)
+  /// Drops the parts of `entry` that `aqp` (whose KeysOf are `keys`)
   /// covers, testing only those carrying one of its point keys when it
   /// has any. Same return as RemoveItemsLocked.
-  bool DisplaceCoveredLocked(size_t idx, const AtomicQueryPart& aqp,
+  bool DisplaceCoveredLocked(PublishedEntry& entry, const AtomicQueryPart& aqp,
                              const std::vector<TermKey>& keys)
       ERQ_REQUIRES(mu_);
-  /// Unlinks a now-empty entry from entry_index_ and the inverted index
-  /// and recycles its slot. The caller republishes.
-  void RemoveEntryLocked(size_t idx) ERQ_REQUIRES(mu_);
-  /// Finds or creates the entry for `relations`; sets `*created` so the
-  /// caller knows the membership changed (and must RebuildIndexLocked).
-  size_t GetOrCreateEntryLocked(const RelationSet& relations, bool* created)
+  /// Finds the entry for `relations`, or creates and registers one and
+  /// hands it out in `*created` for the caller to RebuildIndexLocked with.
+  PublishedEntry& GetOrCreateEntryLocked(const RelationSet& relations,
+                                         PublishedEntryPtr* created)
       ERQ_REQUIRES(mu_);
 
-  /// Swaps `next` in as entry `pub->items` and epoch-retires the replaced
-  /// contents (item-only change: the index itself is untouched).
-  void RepublishEntryItemsLocked(Entry& entry, const EntryItems* next)
+  /// Swaps `next` in as `entry`'s contents and epoch-retires the replaced
+  /// ones (item-only change: the index itself is untouched).
+  void RepublishEntryItemsLocked(PublishedEntry& entry, const EntryItems* next)
       ERQ_REQUIRES(mu_);
-  /// Rebuilds and publishes the index snapshot from writer state and
-  /// epoch-retires the predecessor (entry membership changed).
-  void RebuildIndexLocked() ERQ_REQUIRES(mu_);
+  /// Publishes the index with every emptied entry unregistered and
+  /// dropped and `created` (if any) appended, and epoch-retires the
+  /// predecessor (entry membership changed).
+  void RebuildIndexLocked(PublishedEntryPtr created) ERQ_REQUIRES(mu_);
 
   // Capacity, immutable after construction: safe to read unlocked.
   const size_t n_max_;
@@ -418,28 +403,26 @@ class CaqpCache {
       ERQ_ACQUIRED_BEFORE(lock_order::kEpoch,
                           lock_order::kPersistence){lock_order::kCaqpCache};
 
-  std::vector<Item> slots_ ERQ_GUARDED_BY(mu_);
-  std::vector<size_t> free_slots_ ERQ_GUARDED_BY(mu_);
-  std::vector<Entry> entries_ ERQ_GUARDED_BY(mu_);
-  std::vector<size_t> free_entries_ ERQ_GUARDED_BY(mu_);
-  std::unordered_map<std::string, size_t> entry_index_ ERQ_GUARDED_BY(mu_);
-  // Writer-side postings map *every* name of an entry to it (superset
-  // search and invalidation need all names); the published index is keyed
-  // by first name only.
-  std::unordered_map<std::string, std::vector<size_t>> postings_
+  // Relation-set key -> the entry stored for it.
+  std::unordered_map<std::string, PublishedEntryPtr> entries_
       ERQ_GUARDED_BY(mu_);
-  size_t empty_rel_entry_ ERQ_GUARDED_BY(mu_) = kNoEntry;
-  size_t clock_hand_ ERQ_GUARDED_BY(mu_) = 0;
+  // Every name of an entry -> the entry (superset search and invalidation
+  // need all names); the published index is keyed by first name only.
+  std::unordered_map<std::string, std::vector<PublishedEntry*>> postings_
+      ERQ_GUARDED_BY(mu_);
+  // Clock hand: an entry's position in the published index and a part's
+  // position in that entry, wrapped when they run past the end.
+  size_t clock_entry_ ERQ_GUARDED_BY(mu_) = 0;
+  size_t clock_part_ ERQ_GUARDED_BY(mu_) = 0;
   ChangeListener* listener_ ERQ_GUARDED_BY(mu_) = nullptr;
 
   // Live parts: written under `mu_`, read lock-free by size().
   std::atomic<size_t> live_{0};
-  // The published snapshot; never null after construction. Writers
-  // exchange under `mu_` and epoch-retire the predecessor; readers load
-  // (acquire) inside an epoch critical section. Every lookup loads it, so
-  // it sits alone on its cache line: sharing one with written state would
-  // make each write evict the pointer from every reader's cache.
-  alignas(64) std::atomic<const Index*> published_{nullptr};
+  // The published snapshot, never null. Writers publish under `mu_`;
+  // readers load inside an epoch critical section. Every lookup loads it,
+  // so it sits alone on its cache line: sharing one with written state
+  // would make each write evict the pointer from every reader's cache.
+  alignas(64) EpochPublished<Index> published_{new Index};
   // Reclamation domain for published snapshots and entry contents.
   mutable EpochManager epoch_;
 };

@@ -34,11 +34,6 @@ Status EmptyResultConfig::Validate() const {
       return Status::InvalidArgument(
           "EmptyResultConfig.invalidation is not a known InvalidationMode");
   }
-  if (partitions == 0) {
-    return Status::InvalidArgument(
-        "EmptyResultConfig.partitions must be positive (use partitions=1 "
-        "for the unpartitioned ablation)");
-  }
   if (reuse.enabled) {
     if (reuse.max_rows == 0) {
       return Status::InvalidArgument(

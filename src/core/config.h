@@ -75,15 +75,6 @@ struct EmptyResultConfig {
   /// partitions=1-equivalent ablation).
   bool partition_pruning = true;
 
-  /// Default partition fanout used by workload loaders (e.g. the TPC-R
-  /// generator) when declaring partitioning; 1 disables partitioning.
-  /// Table::SetPartitioning callers may override per table.
-  size_t partitions = 8;
-
-  /// Per-column distinct-value summary cap for newly declared partition
-  /// schemes (0 disables the summaries; see PartitionScheme).
-  size_t zone_map_distinct_cap = 16;
-
   /// Intermediate-result reuse store (harvest low-cardinality operator
   /// outputs of executed high-cost queries, splice them into later
   /// plans). Disabled by default. See DESIGN.md §13.

@@ -426,6 +426,20 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
       }
     }
   }
+  // Weigh the index path against the table scan, which filters every
+  // conjunct over the whole table: an index range over most of the table
+  // costs more than reading it in order.
+  const double index_rows = std::max(1.0, table_rows * best_sel);
+  double index_cost = 0.0;
+  if (best_idx >= 0) {
+    index_cost = cost_model_.IndexScanCost(table_rows, index_rows,
+                                           best_ranges.size());
+    if (conjuncts.size() > 1) index_cost += cost_model_.FilterCost(index_rows);
+    if (index_cost >= cost_model_.TableScanCost(table_rows) +
+                          cost_model_.FilterCost(table_rows)) {
+      best_idx = -1;
+    }
+  }
 
   PhysOpPtr scan;
   Layout scan_layout = ScanLayout(*table, alias);
@@ -442,10 +456,9 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
                          BindExpr(conjuncts[static_cast<size_t>(best_idx)],
                                   scan_layout));
     conjuncts.erase(conjuncts.begin() + best_idx);
-    scan->estimated_rows = std::max(1.0, table_rows * best_sel);
-    scan->estimated_cost =
-        cost_model_.IndexScanCost(table_rows, scan->estimated_rows,
-                                  scan->index_ranges.size());
+    scan->estimated_rows = index_rows;
+    scan->estimated_cost = cost_model_.IndexScanCost(
+        table_rows, index_rows, scan->index_ranges.size());
   } else {
     // Canonicalize the primitive-classifiable single-table conjuncts once:
     // the alias is rewritten to the canonical (lowercased base table)

@@ -43,14 +43,7 @@ ReuseStore::Instruments ReuseStore::ResolveInstruments(
 }
 
 ReuseStore::ReuseStore(ReuseConfig config)
-    : config_(config), metrics_(ResolveInstruments(scope_)) {
-  published_.store(new Index(), std::memory_order_release);
-}
-
-ReuseStore::~ReuseStore() {
-  delete published_.exchange(nullptr, std::memory_order_acq_rel);
-  epoch_.ReclaimAll();
-}
+    : config_(config), metrics_(ResolveInstruments(scope_)) {}
 
 double ReuseStore::Score(const Entry& entry) {
   // Benefit per byte: what the entry saves per execution, amplified by how
@@ -68,7 +61,7 @@ std::optional<ReuseSplice> ReuseStore::Lookup(
   const Entry* best = nullptr;
   {
     EpochReadGuard guard(&epoch_);
-    const Index* index = published_.load(std::memory_order_acquire);
+    const Index* index = published_.Load();
     auto it = index->find(relation);
     if (it != index->end()) {
       for (const EntryPtr& entry : it->second) {
@@ -230,9 +223,7 @@ void ReuseStore::PublishLocked() {
   for (const std::shared_ptr<Entry>& entry : entries_) {
     (*next)[entry->part.relations().names().front()].push_back(entry);
   }
-  const Index* old =
-      published_.exchange(next, std::memory_order_acq_rel);
-  epoch_.Retire([old] { delete old; });
+  published_.Publish(next, &epoch_);
   epoch_.TryReclaim();
   metrics_.entries->Set(static_cast<int64_t>(entries_.size()));
   metrics_.bytes->Set(static_cast<int64_t>(bytes_));

@@ -72,7 +72,7 @@ class ReuseStore final : public ReuseSpliceSource {
   /// Reclaims every retired snapshot. No lookup may be in flight. (The
   /// metrics scope takes this store's `erq.reuse.{entries,bytes}` out of
   /// the global gauges as it goes.)
-  ~ReuseStore() override;
+  ~ReuseStore() override = default;
 
   ReuseStore(const ReuseStore&) = delete;
   ReuseStore& operator=(const ReuseStore&) = delete;
@@ -190,10 +190,9 @@ class ReuseStore final : public ReuseSpliceSource {
   size_t bytes_ ERQ_GUARDED_BY(mu_) = 0;
   uint64_t next_id_ ERQ_GUARDED_BY(mu_) = 1;
 
-  // The published snapshot; never null after construction. Writers
-  // exchange under mu_ and epoch-retire the predecessor; readers load
-  // (acquire) inside an epoch critical section.
-  std::atomic<const Index*> published_{nullptr};
+  // The published snapshot, never null. Writers publish under mu_;
+  // readers load inside an epoch critical section.
+  EpochPublished<Index> published_{new Index()};
 
   // Recency clock bumped by lookup hits; lock-free.
   mutable std::atomic<uint64_t> seq_{0};

@@ -160,6 +160,7 @@ TEST(LikeDetectTest, OpaqueLikeStillExactMatches) {
 
 TEST(LikeOptimizerTest, PrefixPatternUsesIndex) {
   FixtureDb db;
+  db.AddFillerRows();
   ASSERT_TRUE(db.catalog().CreateIndex("C", "g").ok());
   ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan,
                            db.Prepare("select * from C where g like 'on%'"));

@@ -37,6 +37,7 @@ TEST(OptimizerTest, TableScanWhenNoIndex) {
 
 TEST(OptimizerTest, IndexScanWhenIndexExists) {
   FixtureDb db;
+  db.AddFillerRows();
   ASSERT_TRUE(db.catalog().CreateIndex("A", "a").ok());
   ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan,
                            db.Prepare("select * from A where a = 12"));
@@ -54,6 +55,35 @@ TEST(OptimizerTest, IndexScanDisabledByOption) {
   ERQ_ASSERT_OK_AND_ASSIGN(
       PhysOpPtr plan, db.Prepare("select * from A where a = 12", options));
   EXPECT_EQ(FindOp(plan, PhysOpKind::kIndexScan), nullptr);
+}
+
+TEST(OptimizerTest, IndexScanOnlyWhenCheaperThanTableScan) {
+  Catalog catalog;
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      Table * t, catalog.CreateTable("T", Schema({{"k", DataType::kInt64},
+                                                  {"v", DataType::kInt64}})));
+  for (int64_t i = 0; i < 310; ++i) {
+    t->AppendUnchecked({Value::Int(i % 31), Value::Int(i)});
+  }
+  ASSERT_TRUE(catalog.CreateIndex("T", "k").ok());
+  StatsCatalog stats;
+  ERQ_ASSERT_OK(stats.AnalyzeAll(catalog));
+  auto prepare = [&](const std::string& pred) {
+    return erq::testing::PreparePlan(&catalog, &stats,
+                                     "select * from T where " + pred);
+  };
+  // Ranges over nearly every row read the table in order and filter it.
+  for (const std::string pred : {"k > -2", "k < 20 or k > 5"}) {
+    ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan, prepare(pred));
+    EXPECT_EQ(FindOp(plan, PhysOpKind::kIndexScan), nullptr)
+        << pred << "\n" << plan->ToString();
+    EXPECT_NE(FindOp(plan, PhysOpKind::kTableScan), nullptr) << pred;
+    EXPECT_NE(FindOp(plan, PhysOpKind::kFilter), nullptr) << pred;
+  }
+  // A selective one still probes the index.
+  ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr point, prepare("k = 7"));
+  EXPECT_NE(FindOp(point, PhysOpKind::kIndexScan), nullptr)
+      << point->ToString();
 }
 
 TEST(OptimizerTest, EquiJoinUsesHashJoin) {
@@ -303,6 +333,7 @@ TEST(OptimizerTest, IndexScanDisabledByOptionCoversDisjunctions) {
 
 TEST(OptimizerTest, NestedDisjunctionsFlattenIntoRanges) {
   FixtureDb db;
+  db.AddFillerRows();
   ASSERT_TRUE(db.catalog().CreateIndex("A", "a").ok());
   ERQ_ASSERT_OK_AND_ASSIGN(
       PhysOpPtr plan,

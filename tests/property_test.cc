@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -392,6 +393,15 @@ TEST_P(CacheEquivalenceTest, CoveredByMatchesLinearScan) {
       }
       std::vector<AtomicQueryPart> snapshot = cache.Snapshot();
       ASSERT_LE(snapshot.size(), n_max);
+      // One copy of the state: the count, the published parts and the
+      // entry table agree after every mutation.
+      ASSERT_EQ(cache.size(), snapshot.size()) << "step " << step;
+      std::set<std::string> relation_sets;
+      for (const AtomicQueryPart& m : snapshot) {
+        relation_sets.insert(m.relations().Key());
+      }
+      ASSERT_EQ(cache.stats_snapshot().entries_live, relation_sets.size())
+          << "step " << step << " after " << what;
       if (modeled) {
         ASSERT_TRUE(SameParts(snapshot, model))
             << "step " << step << " after " << what << ": cache holds "

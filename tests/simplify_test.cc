@@ -41,6 +41,7 @@ TEST(SimplifyTest, T2ReplacesPhysicalJoinsWithConditions) {
 
 TEST(SimplifyTest, T3IndexScanBecomesScanPlusSelection) {
   FixtureDb db;
+  db.AddFillerRows();
   ASSERT_TRUE(db.catalog().CreateIndex("A", "a").ok());
   ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan,
                            db.Prepare("select * from A where a = 12"));

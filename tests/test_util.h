@@ -85,6 +85,21 @@ class FixtureDb {
   Catalog& catalog() { return catalog_; }
   StatsCatalog& stats() { return stats_; }
 
+  /// Appends 200 rows to A (a = 100..299) and to C (f = 100..299, g =
+  /// "filler"), outside every fixture value, and re-analyzes. The fixture
+  /// tables are so small that scanning them costs less than one index
+  /// probe; call this before CreateIndex in tests of the index path.
+  void AddFillerRows() {
+    Table* a = catalog_.GetTable("A").value();
+    Table* c = catalog_.GetTable("C").value();
+    for (int64_t i = 100; i < 300; ++i) {
+      a->AppendUnchecked(
+          {Value::Int(i), Value::Int(i * 10), Value::Int(i % 5)});
+      c->AppendUnchecked({Value::Int(i), Value::String("filler")});
+    }
+    EXPECT_TRUE(stats_.AnalyzeAll(catalog_).ok());
+  }
+
   /// Parses, plans, optimizes, executes; returns the result rows.
   StatusOr<ExecutionResult> Run(const std::string& sql,
                                 OptimizerOptions options = {}) {

@@ -68,7 +68,7 @@ EPOCH_BUCKETS=$(grep -oE 'active_\[[0-9]+\]' src/common/epoch.h \
   | head -1 | grep -oE '[0-9]+')
 EPOCH_STRIPES=$(grep -oE 'kStripes = [0-9]+' src/common/epoch.h \
   | grep -oE '[0-9]+')
-ZONE_MAP_CAP=$(grep -oE 'zone_map_distinct_cap = [0-9]+' src/core/config.h \
+ZONE_MAP_CAP=$(grep -oE 'zone_map_distinct_cap = [0-9]+' src/catalog/partition.h \
   | grep -oE '[0-9]+')
 
 PART_OUT="$(dirname "$OUT")/BENCH_partition.json"
@@ -79,8 +79,14 @@ REUSE_OUT="$(dirname "$OUT")/BENCH_reuse.json"
 REUSE_MAX_ROWS=$(grep -oE 'max_rows = [0-9]+' src/core/config.h \
   | head -1 | grep -oE '[0-9]+')
 
+# The project's own build type (google-benchmark's context only records
+# the benchmark library's).
+BUILD_TYPE=$(grep -oE '^CMAKE_BUILD_TYPE:[A-Z]+=.*' "$BUILD/CMakeCache.txt" \
+  | cut -d= -f2)
+
 python3 - "$TMP" "$OUT" "$EPOCH_BUCKETS" "$EPOCH_STRIPES" \
-  "$PART_OUT" "$ZONE_MAP_CAP" "$REUSE_OUT" "$REUSE_MAX_ROWS" <<'PY'
+  "$PART_OUT" "$ZONE_MAP_CAP" "$REUSE_OUT" "$REUSE_MAX_ROWS" \
+  "$BUILD_TYPE" <<'PY'
 import json, os, subprocess, sys
 
 tmp, out = sys.argv[1], sys.argv[2]
@@ -88,7 +94,7 @@ part_out = sys.argv[5]
 reuse_out = sys.argv[7]
 
 rev = subprocess.run(
-    ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True
+    ["git", "describe", "--always", "--dirty"], capture_output=True, text=True
 ).stdout.strip()
 
 merged = {"context": {}, "benchmarks": {}}
@@ -115,6 +121,7 @@ for name in sorted(os.listdir(tmp)):
         target = reuse
     if not target["context"]:
         target["context"] = doc.get("context", {})
+        target["context"]["erq_build_type"] = sys.argv[9]
     target["benchmarks"][name[: -len(".json")]] = doc.get("benchmarks", [])
 
 if rev:
