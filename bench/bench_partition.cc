@@ -1,7 +1,8 @@
 // Partition-pruning benchmarks over the partitioned TPC-R instance:
 // end-to-end EmptyResultManager::Query latency as a function of
 // partition count x predicate selectivity (zone-map skipping on the
-// partition key), and pruning on vs. off. Every run reports partitions
+// partition key), pruning on vs. off, and the executor alone on a
+// non-key equality that refutes nothing. Every run reports partitions
 // scanned/pruned per query as counters, so BENCH_partition.json pins the
 // skipping behaviour — not just the latency — PR over PR.
 //
@@ -20,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -126,6 +128,49 @@ BENCHMARK(BM_PruningAblation)
     ->ArgNames({"pruning"})
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// The update_mix read shape: an equality on a non-key lineitem column, so
+// zone maps refute no partition, executed without the manager (no C_aqp,
+// no reuse) so only the scan and its filter are timed. The partitioned
+// scan walks the table in row order like the unpartitioned one.
+void BM_NonKeyEqualityScan(benchmark::State& state) {
+  const size_t partitions = static_cast<size_t>(state.range(0));
+  const Environment& env = SharedEnv(partitions);
+  // Partkeys from the middle of the domain lie inside every partition's
+  // [min, max] zone.
+  const std::vector<int64_t>& parts = env.instance.present_parts;
+  std::vector<PhysOpPtr> plans;
+  for (size_t i = 0; i < 16; ++i) {
+    const int64_t part = parts[parts.size() / 4 + i * parts.size() / 32];
+    plans.push_back(env.Prepare("select * from lineitem where partkey = " +
+                                std::to_string(part)));
+  }
+  ExecOptions options;
+  options.prune_partitions = true;
+
+  size_t scanned = 0, pruned = 0, rows = 0, i = 0;
+  for (auto _ : state) {
+    const PhysOpPtr& plan = plans[i++ % plans.size()];
+    auto result = Executor::Run(plan, options);
+    if (!result.ok()) std::abort();
+    const PhysicalOperator* scan = plan.get();
+    while (scan->kind != PhysOpKind::kTableScan) {
+      scan = scan->children[0].get();
+    }
+    // -1 on the unpartitioned table, which records no partition counts.
+    scanned += static_cast<size_t>(
+        std::max<int64_t>(0, scan->partitions_scanned));
+    pruned +=
+        static_cast<size_t>(std::max<int64_t>(0, scan->partitions_pruned));
+    rows += result->rows.size();
+  }
+  ReportPartitionCounters(state, scanned, pruned, rows);
+}
+BENCHMARK(BM_NonKeyEqualityScan)
+    ->ArgNames({"partitions"})
+    ->Arg(1)
+    ->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

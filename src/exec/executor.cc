@@ -96,19 +96,26 @@ class CountingIter : public Iter {
   IterPtr inner_;
 };
 
-/// Full-table or partition-pruned scan. The pruned path skips empty
-/// partitions and partitions whose zone maps refute the scan condition,
-/// and merges the survivors' row ids into globally ascending order, so
-/// the emitted row sequence is byte-identical to the full scan's minus
-/// rows the Filter above would drop anyway.
+/// Full-table or partition-pruned scan, fused with the Filter above it
+/// when there is one: the predicate is evaluated against the stored row
+/// in place and only passing rows are copied out. The scan counts every
+/// row it visits into its node's actual_rows (the Filter node's counter
+/// sees the survivors). The pruned path skips empty partitions and
+/// partitions whose zone maps refute the scan condition, and visits the
+/// survivors' row ids in globally ascending order; when no partition
+/// holding rows is refuted it walks the table in row order, as the full
+/// scan does. Either way the emitted row sequence is the full scan's
+/// minus rows the predicate rejects.
 class TableScanIter : public Iter {
  public:
-  TableScanIter(PhysicalOperator* op, const ExecOptions& options)
-      : op_(op), options_(options) {}
+  TableScanIter(PhysicalOperator* op, const Expr* predicate,
+                const ExecOptions& options)
+      : op_(op), predicate_(predicate), options_(options) {}
 
   Status Open() override {
+    op_->actual_rows = 0;
     pos_ = 0;
-    partitioned_ = false;
+    pruned_ = false;
     row_ids_.clear();
     if (!options_.prune_partitions || !op_->has_scan_condition ||
         op_->table == nullptr) {
@@ -117,40 +124,50 @@ class TableScanIter : public Iter {
     std::shared_ptr<const PartitionSnapshot> snapshot =
         op_->table->partition_snapshot();
     if (snapshot == nullptr) return Status::OK();
-    partitioned_ = true;
     const std::string table_name = ToLower(op_->table_name);
-    int64_t scanned = 0;
+    std::vector<const PartitionState*> survivors;
     for (const PartitionState& part : snapshot->partitions) {
       // Also refutes empty partitions.
       if (ZoneMapsRefute(part, op_->table->schema(), table_name,
                          op_->scan_condition)) {
+        pruned_ = pruned_ || part.row_count() > 0;
         continue;
       }
-      ++scanned;
-      row_ids_.insert(row_ids_.end(), part.row_ids.begin(),
-                      part.row_ids.end());
+      survivors.push_back(&part);
     }
-    std::sort(row_ids_.begin(), row_ids_.end());
-    op_->partitions_scanned = scanned;
-    op_->partitions_pruned =
-        static_cast<int64_t>(snapshot->partitions.size()) - scanned;
+    op_->partitions_scanned = static_cast<int64_t>(survivors.size());
+    op_->partitions_pruned = static_cast<int64_t>(snapshot->partitions.size()) -
+                             op_->partitions_scanned;
+    if (!pruned_) return Status::OK();
+    for (const PartitionState* part : survivors) {
+      row_ids_.insert(row_ids_.end(), part->row_ids.begin(),
+                      part->row_ids.end());
+    }
+    if (survivors.size() > 1) std::sort(row_ids_.begin(), row_ids_.end());
     return Status::OK();
   }
 
   StatusOr<std::optional<Row>> Next() override {
-    if (!partitioned_) {
-      if (pos_ >= op_->table->num_rows()) return std::optional<Row>{};
-      return std::optional<Row>(op_->table->row(pos_++));
+    const size_t end = pruned_ ? row_ids_.size() : op_->table->num_rows();
+    while (pos_ < end) {
+      const Row& row = op_->table->row(pruned_ ? row_ids_[pos_] : pos_);
+      ++pos_;
+      ++op_->actual_rows;
+      if (predicate_ != nullptr) {
+        ERQ_ASSIGN_OR_RETURN(bool pass, PredicatePasses(*predicate_, row));
+        if (!pass) continue;
+      }
+      return std::optional<Row>(row);
     }
-    if (pos_ >= row_ids_.size()) return std::optional<Row>{};
-    return std::optional<Row>(op_->table->row(row_ids_[pos_++]));
+    return std::optional<Row>{};
   }
 
  private:
   PhysicalOperator* op_;
+  const Expr* predicate_;  // the fused Filter's; null for a bare scan
   const ExecOptions& options_;
-  bool partitioned_ = false;
-  std::vector<size_t> row_ids_;  // ascending, pruned-path only
+  bool pruned_ = false;          // a partition holding rows was refuted
+  std::vector<size_t> row_ids_;  // ascending, pruned path only
   size_t pos_ = 0;
 };
 
@@ -925,23 +942,27 @@ class ExceptIter : public Iter {
 StatusOr<IterPtr> MakeInner(const PhysOpPtr& op, const ExecOptions& options) {
   switch (op->kind) {
     case PhysOpKind::kTableScan:
-      return IterPtr(new TableScanIter(op.get(), options));
+      return IterPtr(new TableScanIter(op.get(), nullptr, options));
     case PhysOpKind::kIndexScan:
       return IterPtr(new IndexScanIter(*op));
     case PhysOpKind::kCachedResultScan:
       return IterPtr(new CachedResultScanIter(*op));
     case PhysOpKind::kFilter: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(op->children[0], options));
-      IterPtr filter(new FilterIter(*op, std::move(child)));
+      const PhysOpPtr& input = op->children[0];
+      if (input->kind != PhysOpKind::kTableScan) {
+        ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(input, options));
+        return IterPtr(new FilterIter(*op, std::move(child)));
+      }
+      IterPtr scan(
+          new TableScanIter(input.get(), op->predicate.get(), options));
       // Harvest only the Filter-over-TableScan shape: its output is the
       // complete sigma_predicate(relation) in ascending row order (even
       // under partition pruning, which only skips rows the filter would
       // reject) — the one intermediate the reuse store can serve soundly.
-      if (options.harvest != nullptr &&
-          op->children[0]->kind == PhysOpKind::kTableScan) {
-        return IterPtr(new HarvestIter(op, std::move(filter), options));
+      if (options.harvest != nullptr) {
+        return IterPtr(new HarvestIter(op, std::move(scan), options));
       }
-      return filter;
+      return scan;
     }
     case PhysOpKind::kProject: {
       ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(op->children[0], options));
@@ -1003,6 +1024,8 @@ StatusOr<IterPtr> MakeInner(const PhysOpPtr& op, const ExecOptions& options) {
 
 StatusOr<IterPtr> MakeIter(const PhysOpPtr& op, const ExecOptions& options) {
   ERQ_ASSIGN_OR_RETURN(IterPtr inner, MakeInner(op, options));
+  // A table scan counts the rows it visits itself.
+  if (op->kind == PhysOpKind::kTableScan) return inner;
   return IterPtr(new CountingIter(op.get(), std::move(inner)));
 }
 

@@ -41,9 +41,9 @@ struct HarvestedIntermediate {
 struct ExecOptions {
   /// When true, table scans over partitioned tables with a derived scan
   /// condition skip, at open, every empty partition and every partition
-  /// whose zone maps refute the condition, and visit the survivors in
-  /// globally ascending row order (so results are byte-identical to the
-  /// full scan).
+  /// whose zone maps refute the condition. The survivors are visited in
+  /// globally ascending row order (sorted only when a partition holding
+  /// rows was refuted), so results are byte-identical to the full scan.
   bool prune_partitions = false;
 
   /// When non-null, every Filter-over-TableScan output whose observed
@@ -61,8 +61,11 @@ struct ExecOptions {
 /// counts the rows it emits into PhysicalOperator::actual_rows — the
 /// per-operator output cardinalities that Operation O1 displays and
 /// Operation O2 mines for lowest-level empty query parts (the paper keeps
-/// them "as collected statistics during query execution"). Partitioned
-/// scans additionally record how many partitions they scanned and pruned.
+/// them "as collected statistics during query execution"). A table scan
+/// under a Filter runs fused with it, filtering the stored rows in place,
+/// and counts the rows it visits: the rows it would emit on its own.
+/// Partitioned scans additionally record how many partitions they
+/// scanned and pruned.
 class Executor {
  public:
   /// Runs the plan to completion with default options. Resets and then

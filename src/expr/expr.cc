@@ -397,9 +397,11 @@ StatusOr<TriBool> CompareValues(CompareOp op, const Value& a, const Value& b) {
   return result ? TriBool::kTrue : TriBool::kFalse;
 }
 
-}  // namespace
-
-StatusOr<Value> EvalScalar(const Expr& expr, const Row& row) {
+/// Reads a column or literal operand in place; evaluates any other operand
+/// into `*scratch` through EvalScalar. The result points into `row`,
+/// `expr` or `*scratch`.
+StatusOr<const Value*> Operand(const Expr& expr, const Row& row,
+                               Value* scratch) {
   switch (expr.kind()) {
     case Expr::Kind::kColumnRef: {
       int slot = expr.slot();
@@ -407,10 +409,27 @@ StatusOr<Value> EvalScalar(const Expr& expr, const Row& row) {
         return Status::Internal("unbound or out-of-range column slot for " +
                                 expr.ToString());
       }
-      return row[slot];
+      return &row[slot];
     }
     case Expr::Kind::kLiteral:
-      return expr.value();
+      return &expr.value();
+    default: {
+      ERQ_ASSIGN_OR_RETURN(*scratch, EvalScalar(expr, row));
+      return scratch;
+    }
+  }
+}
+
+}  // namespace
+
+StatusOr<Value> EvalScalar(const Expr& expr, const Row& row) {
+  switch (expr.kind()) {
+    case Expr::Kind::kColumnRef:
+    case Expr::Kind::kLiteral: {
+      Value unused;
+      ERQ_ASSIGN_OR_RETURN(const Value* v, Operand(expr, row, &unused));
+      return *v;
+    }
     case Expr::Kind::kArith: {
       ERQ_ASSIGN_OR_RETURN(Value lhs, EvalScalar(*expr.child(0), row));
       ERQ_ASSIGN_OR_RETURN(Value rhs, EvalScalar(*expr.child(1), row));
@@ -484,29 +503,39 @@ bool LikeMatches(const std::string& text, const std::string& pattern) {
 StatusOr<TriBool> EvalPredicate(const Expr& expr, const Row& row) {
   switch (expr.kind()) {
     case Expr::Kind::kLike: {
-      ERQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*expr.child(0), row));
-      ERQ_ASSIGN_OR_RETURN(Value pattern, EvalScalar(*expr.child(1), row));
-      if (v.is_null() || pattern.is_null()) return TriBool::kUnknown;
-      if (v.type() != DataType::kString ||
-          pattern.type() != DataType::kString) {
+      Value v_scratch, pattern_scratch;
+      ERQ_ASSIGN_OR_RETURN(const Value* v,
+                           Operand(*expr.child(0), row, &v_scratch));
+      ERQ_ASSIGN_OR_RETURN(const Value* pattern,
+                           Operand(*expr.child(1), row, &pattern_scratch));
+      if (v->is_null() || pattern->is_null()) return TriBool::kUnknown;
+      if (v->type() != DataType::kString ||
+          pattern->type() != DataType::kString) {
         return Status::BindError("LIKE requires string operands: " +
                                  expr.ToString());
       }
-      bool match = LikeMatches(v.AsString(), pattern.AsString());
+      bool match = LikeMatches(v->AsString(), pattern->AsString());
       if (expr.negated()) match = !match;
       return match ? TriBool::kTrue : TriBool::kFalse;
     }
     case Expr::Kind::kCompare: {
-      ERQ_ASSIGN_OR_RETURN(Value lhs, EvalScalar(*expr.child(0), row));
-      ERQ_ASSIGN_OR_RETURN(Value rhs, EvalScalar(*expr.child(1), row));
-      return CompareValues(expr.compare_op(), lhs, rhs);
+      Value lhs_scratch, rhs_scratch;
+      ERQ_ASSIGN_OR_RETURN(const Value* lhs,
+                           Operand(*expr.child(0), row, &lhs_scratch));
+      ERQ_ASSIGN_OR_RETURN(const Value* rhs,
+                           Operand(*expr.child(1), row, &rhs_scratch));
+      return CompareValues(expr.compare_op(), *lhs, *rhs);
     }
     case Expr::Kind::kBetween: {
-      ERQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*expr.child(0), row));
-      ERQ_ASSIGN_OR_RETURN(Value lo, EvalScalar(*expr.child(1), row));
-      ERQ_ASSIGN_OR_RETURN(Value hi, EvalScalar(*expr.child(2), row));
-      ERQ_ASSIGN_OR_RETURN(TriBool ge, CompareValues(CompareOp::kGe, v, lo));
-      ERQ_ASSIGN_OR_RETURN(TriBool le, CompareValues(CompareOp::kLe, v, hi));
+      Value v_scratch, lo_scratch, hi_scratch;
+      ERQ_ASSIGN_OR_RETURN(const Value* v,
+                           Operand(*expr.child(0), row, &v_scratch));
+      ERQ_ASSIGN_OR_RETURN(const Value* lo,
+                           Operand(*expr.child(1), row, &lo_scratch));
+      ERQ_ASSIGN_OR_RETURN(const Value* hi,
+                           Operand(*expr.child(2), row, &hi_scratch));
+      ERQ_ASSIGN_OR_RETURN(TriBool ge, CompareValues(CompareOp::kGe, *v, *lo));
+      ERQ_ASSIGN_OR_RETURN(TriBool le, CompareValues(CompareOp::kLe, *v, *hi));
       TriBool both;
       if (ge == TriBool::kFalse || le == TriBool::kFalse) {
         both = TriBool::kFalse;
@@ -518,11 +547,15 @@ StatusOr<TriBool> EvalPredicate(const Expr& expr, const Row& row) {
       return expr.negated() ? NotTri(both) : both;
     }
     case Expr::Kind::kInList: {
-      ERQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*expr.child(0), row));
+      Value v_scratch, item_scratch;
+      ERQ_ASSIGN_OR_RETURN(const Value* v,
+                           Operand(*expr.child(0), row, &v_scratch));
       bool saw_unknown = false;
       for (size_t i = 1; i < expr.children().size(); ++i) {
-        ERQ_ASSIGN_OR_RETURN(Value item, EvalScalar(*expr.child(i), row));
-        ERQ_ASSIGN_OR_RETURN(TriBool eq, CompareValues(CompareOp::kEq, v, item));
+        ERQ_ASSIGN_OR_RETURN(const Value* item,
+                             Operand(*expr.child(i), row, &item_scratch));
+        ERQ_ASSIGN_OR_RETURN(TriBool eq,
+                             CompareValues(CompareOp::kEq, *v, *item));
         if (eq == TriBool::kTrue) {
           return expr.negated() ? TriBool::kFalse : TriBool::kTrue;
         }

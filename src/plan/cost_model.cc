@@ -152,8 +152,11 @@ double CostModel::JoinSelectivity(const std::string& left_alias,
 double CostModel::IndexScanCost(double table_rows, double matching_rows,
                                 size_t ranges) const {
   double height = table_rows > 1 ? std::log2(table_rows) : 1.0;
-  return static_cast<double>(ranges) * (kIndexLookupCost + height) +
-         matching_rows * kIndexTupleCost;
+  double cost = static_cast<double>(ranges) * (kIndexLookupCost + height) +
+                matching_rows * kIndexTupleCost;
+  // Several ranges' row ids are sorted and deduplicated into table order.
+  if (ranges > 1) cost += SortCost(matching_rows);
+  return cost;
 }
 
 double CostModel::HashJoinCost(double left_rows, double right_rows) const {

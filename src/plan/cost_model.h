@@ -37,7 +37,8 @@ class CostModel {
   // --- Operator costs (per-operator, excluding children) ---
 
   double TableScanCost(double rows) const { return rows * kSeqTupleCost; }
-  /// One descent per key range plus a visit per matching row.
+  /// One descent per key range plus a visit per matching row; with two or
+  /// more ranges, also the sort that puts the row ids in table order.
   double IndexScanCost(double table_rows, double matching_rows,
                        size_t ranges) const;
   double FilterCost(double input_rows) const {

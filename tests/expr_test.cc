@@ -1,5 +1,8 @@
 #include "expr/expr.h"
 
+#include <string>
+#include <vector>
+
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 
@@ -156,6 +159,89 @@ TEST(EvalTest, IncomparableTypesError) {
 TEST(EvalTest, UnboundSlotErrors) {
   auto r = EvalScalar(*Col("t", "c"), {Value::Int(1)});
   EXPECT_FALSE(r.ok());
+}
+
+/// One predicate outcome as text: the TriBool, or the status code.
+std::string Outcome(const StatusOr<TriBool>& r) {
+  if (!r.ok()) return StatusCodeToString(r.status().code());
+  return std::to_string(static_cast<int>(*r));
+}
+
+using MakePred = ExprPtr (*)(std::vector<ExprPtr>);
+
+/// `make` over `arity` operands read in place: slots 0..arity-1 of `row`.
+std::string InPlace(MakePred make, size_t arity, const Row& row) {
+  std::vector<ExprPtr> ops;
+  for (size_t i = 0; i < arity; ++i) ops.push_back(Slot(static_cast<int>(i)));
+  return Outcome(EvalPredicate(*make(std::move(ops)), row));
+}
+
+/// The same operands first copied out of `row` through EvalScalar, then
+/// compared as literals.
+std::string Copied(MakePred make, size_t arity, const Row& row) {
+  std::vector<ExprPtr> ops;
+  for (size_t i = 0; i < arity; ++i) {
+    StatusOr<Value> v = EvalScalar(*Slot(static_cast<int>(i)), row);
+    if (!v.ok()) return StatusCodeToString(v.status().code());
+    ops.push_back(Expr::MakeLiteral(*v));
+  }
+  return Outcome(EvalPredicate(*make(std::move(ops)), {}));
+}
+
+TEST(EvalTest, InPlaceOperandsMatchCopiedOperands) {
+  const MakePred lt = [](std::vector<ExprPtr> o) {
+    return Lt(std::move(o[0]), std::move(o[1]));
+  };
+  const MakePred between = [](std::vector<ExprPtr> o) {
+    return Between(std::move(o[0]), std::move(o[1]), std::move(o[2]));
+  };
+  const MakePred in = [](std::vector<ExprPtr> o) {
+    return In(std::move(o[0]), {std::move(o[1]), std::move(o[2])});
+  };
+  const MakePred like = [](std::vector<ExprPtr> o) {
+    return Expr::MakeLike(std::move(o[0]), std::move(o[1]), false);
+  };
+  const Value date = Value::Date(9300);
+  struct Case {
+    MakePred make;
+    size_t arity;
+    Row row;
+    std::string want;
+  };
+  const std::string yes = Outcome(TriBool::kTrue);
+  const std::string no = Outcome(TriBool::kFalse);
+  const std::string unknown = Outcome(TriBool::kUnknown);
+  const std::string internal = StatusCodeToString(StatusCode::kInternal);
+  const std::string bind = StatusCodeToString(StatusCode::kBindError);
+  const std::vector<Case> cases = {
+      {lt, 2, {Value::Int(1), Value::Int(2)}, yes},
+      {lt, 2, {Value::Int(1), Value::Double(0.5)}, no},
+      {between, 3, {Value::Int(5), Value::Double(1.5), Value::Int(9)}, yes},
+      {in, 3, {Value::Double(2.0), Value::Int(1), Value::Int(2)}, yes},
+      {like, 2, {Value::String("abc"), Value::String("a%")}, yes},
+      // NULL operand: UNKNOWN.
+      {lt, 2, {Value::Null(), Value::Int(5)}, unknown},
+      {between, 3, {Value::Null(), Value::Int(1), Value::Int(9)}, unknown},
+      {in, 3, {Value::Int(3), Value::Int(1), Value::Null()}, unknown},
+      {like, 2, {Value::Null(), Value::String("a%")}, unknown},
+      // Out-of-range slot: the row is shorter than the operand list.
+      {lt, 2, {Value::Int(1)}, internal},
+      {between, 3, {Value::Int(1), Value::Int(0)}, internal},
+      {in, 3, {Value::Int(1)}, internal},
+      {like, 2, {Value::String("ab")}, internal},
+      // Incomparable types surface the same BindError.
+      {lt, 2, {Value::String("a"), Value::Int(1)}, bind},
+      {between, 3, {Value::String("a"), Value::Int(1), Value::Int(9)}, bind},
+      {in, 3, {Value::String("a"), Value::Int(1), Value::Int(2)}, bind},
+      {like, 2, {Value::Int(1), Value::String("1%")}, bind},
+      {lt, 2, {date, Value::Int(1)}, bind},
+      {in, 3, {date, Value::Int(9300), date}, bind},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    EXPECT_EQ(InPlace(c.make, c.arity, c.row), c.want) << "case " << i;
+    EXPECT_EQ(Copied(c.make, c.arity, c.row), c.want) << "case " << i;
+  }
 }
 
 TEST(EvalTest, PredicatePassesOnlyOnTrue) {

@@ -86,6 +86,34 @@ TEST(OptimizerTest, IndexScanOnlyWhenCheaperThanTableScan) {
       << point->ToString();
 }
 
+TEST(OptimizerTest, WideInListPaysForItsRowIdSort) {
+  Catalog catalog;
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      Table * t, catalog.CreateTable("T", Schema({{"k", DataType::kInt64},
+                                                  {"v", DataType::kInt64}})));
+  for (int64_t i = 0; i < 3100; ++i) {
+    t->AppendUnchecked({Value::Int(i % 31), Value::Int(i)});
+  }
+  ASSERT_TRUE(catalog.CreateIndex("T", "k").ok());
+  StatsCatalog stats;
+  ERQ_ASSERT_OK(stats.AnalyzeAll(catalog));
+  auto prepare = [&](const std::string& pred) {
+    return erq::testing::PreparePlan(&catalog, &stats,
+                                     "select * from T where " + pred);
+  };
+  // Eight ranges match 800 rows: eight probes and 800 visits alone cost
+  // less than filtering the table, but sorting 800 row ids does not.
+  ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr wide,
+                           prepare("k in (1, 2, 3, 4, 5, 6, 7, 8)"));
+  EXPECT_EQ(FindOp(wide, PhysOpKind::kIndexScan), nullptr) << wide->ToString();
+  EXPECT_NE(FindOp(wide, PhysOpKind::kTableScan), nullptr);
+  EXPECT_NE(FindOp(wide, PhysOpKind::kFilter), nullptr);
+  // Two ranges still probe the index.
+  ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr narrow, prepare("k in (1, 2)"));
+  EXPECT_NE(FindOp(narrow, PhysOpKind::kIndexScan), nullptr)
+      << narrow->ToString();
+}
+
 TEST(OptimizerTest, EquiJoinUsesHashJoin) {
   FixtureDb db;
   ERQ_ASSERT_OK_AND_ASSIGN(
