@@ -126,15 +126,7 @@ Status Catalog::SetPartitioning(const std::string& table_name,
   return table->SetPartitioning(std::move(scheme));
 }
 
-void Catalog::NotifyUpdate(const std::string& table_name) {
-  TableUpdateEvent event;
-  event.kind = TableUpdateEvent::Kind::kGeneric;
-  event.table_name = table_name;
-  Fire(event);
-}
-
 void Catalog::Fire(const TableUpdateEvent& event) {
-  for (const auto& listener : listeners_) listener(event.table_name);
   for (const auto& listener : event_listeners_) listener(event);
 }
 

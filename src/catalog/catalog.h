@@ -21,19 +21,19 @@ namespace erq {
 /// kInsert events (valid for the duration of the callback).
 struct TableUpdateEvent {
   /// What kind of mutation fired the event.
-  enum class Kind { kInsert, kDelete, kDropTable, kGeneric };
-  Kind kind = Kind::kGeneric;  ///< mutation kind, kGeneric when unknown
-  std::string table_name;      ///< the mutated table
+  enum class Kind { kInsert, kDelete, kDropTable };
+  Kind kind = Kind::kInsert;  ///< mutation kind
+  std::string table_name;     ///< the mutated table
   /// The appended rows, kInsert only; valid for the callback's duration.
   const std::vector<Row>* inserted_rows = nullptr;
 };
 
 /// Owns every table and index in the "database". Table names are
-/// case-insensitive. Registered update listeners are notified whenever a
+/// case-insensitive. Registered event listeners are notified whenever a
 /// table is mutated through the catalog (the hook the EmptyResultManager
 /// uses to invalidate C_aqp, per the paper's read-mostly batch-update
-/// model). Event listeners additionally receive the mutation kind and, for
-/// inserts, the rows — the input of the §5 irrelevant-update filter.
+/// model), with the mutation kind and, for inserts, the rows — the input
+/// of the §5 irrelevant-update filter.
 class Catalog {
  public:
   Catalog() = default;
@@ -80,19 +80,10 @@ class Catalog {
   Status SetPartitioning(const std::string& table_name,
                          PartitionScheme scheme);
 
-  /// Registers a callback fired with the table name on any mutation.
-  void AddUpdateListener(std::function<void(const std::string&)> listener) {
-    listeners_.push_back(std::move(listener));
-  }
-
-  /// Registers a callback receiving detailed mutation events.
+  /// Registers a callback fired with the event of every mutation.
   void AddEventListener(std::function<void(const TableUpdateEvent&)> listener) {
     event_listeners_.push_back(std::move(listener));
   }
-
-  /// Notifies listeners about an out-of-band mutation to `table_name`
-  /// (callers that append via Table::Append directly should call this).
-  void NotifyUpdate(const std::string& table_name);
 
  private:
   std::string Key(const std::string& name) const;
@@ -101,7 +92,6 @@ class Catalog {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   // key: "table.column" (lowercase)
   std::unordered_map<std::string, std::unique_ptr<SortedIndex>> indexes_;
-  std::vector<std::function<void(const std::string&)>> listeners_;
   std::vector<std::function<void(const TableUpdateEvent&)>> event_listeners_;
 };
 

@@ -10,7 +10,7 @@
 /// Because the relation is a total order, no cycle — and therefore no
 /// deadlock — is possible among locks that obey it.
 ///
-/// Every `erq::Mutex` / `erq::SharedMutex` member in src/ must
+/// Every `erq::Mutex` member in src/ must
 ///   1. name its own anchor in `ERQ_ACQUIRED_AFTER(lock_order::kX)`,
 ///   2. pass the same anchor to the ranked constructor (`{lock_order::kX}`),
 ///   3. document real cross-module edges with `ERQ_ACQUIRED_BEFORE(...)`.

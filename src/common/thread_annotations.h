@@ -15,10 +15,7 @@
 // ERQ_GUARDED_BY and every method with a locking precondition carries
 // ERQ_REQUIRES; `tools/check.sh clang` builds with the analysis enabled.
 
-#include <atomic>
 #include <mutex>
-#include <shared_mutex>
-#include <thread>
 
 #if defined(__clang__) && defined(__has_attribute)
 #define ERQ_THREAD_ANNOTATION_(x) __attribute__((x))
@@ -39,21 +36,15 @@
 // On a pointer member: the pointed-to data is protected by `x`.
 #define ERQ_PT_GUARDED_BY(x) ERQ_THREAD_ANNOTATION_(pt_guarded_by(x))
 
-// On a function: caller must hold `...` (exclusively / shared).
+// On a function: caller must hold `...`.
 #define ERQ_REQUIRES(...) \
   ERQ_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define ERQ_REQUIRES_SHARED(...) \
-  ERQ_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
 // On a function: acquires / releases the capability.
 #define ERQ_ACQUIRE(...) \
   ERQ_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define ERQ_ACQUIRE_SHARED(...) \
-  ERQ_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define ERQ_RELEASE(...) \
   ERQ_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define ERQ_RELEASE_SHARED(...) \
-  ERQ_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 #define ERQ_TRY_ACQUIRE(...) \
   ERQ_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 
@@ -86,7 +77,7 @@ namespace erq {
 /// deadlock freedom"). Ranks are pseudo-capabilities: they are never
 /// locked themselves, they exist to be (a) named in ERQ_ACQUIRED_AFTER /
 /// ERQ_ACQUIRED_BEFORE annotations on mutex declarations, (b) passed to
-/// the ranked Mutex/SharedMutex constructors so the ERQ_DEBUG_LOCK_ORDER
+/// the ranked Mutex constructor so the ERQ_DEBUG_LOCK_ORDER
 /// runtime validator knows each lock's level, and (c) parsed by
 /// tools/lock_lint.py. The one rule: a thread may acquire a mutex only
 /// while every lock it already holds has a strictly lower level. The
@@ -131,7 +122,7 @@ Handler SetViolationHandler(Handler handler);
 /// when the validator is compiled out).
 size_t HeldCount();
 
-/// Validator entry points, called by Mutex/SharedMutex under
+/// Validator entry points, called by Mutex under
 /// ERQ_DEBUG_LOCK_ORDER. `rank` may be null (unranked mutexes — e.g.
 /// test-local ones — are tracked for release pairing but never checked).
 /// `checked` is false for try-acquisitions, which cannot deadlock.
@@ -199,87 +190,6 @@ class ERQ_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-/// std::shared_mutex wrapper carrying the capability annotations: many
-/// readers or one writer. Read-mostly structures (C_aqp's lookup path)
-/// take the shared side so concurrent probes never serialize; mutation
-/// takes the exclusive side. Under the analysis, holding the shared side
-/// permits reads of ERQ_GUARDED_BY members but not writes.
-///
-/// Writer preference: glibc's underlying rwlock admits new readers while a
-/// writer waits, so a steady probe stream can starve Insert/invalidation
-/// indefinitely. New readers therefore back off (yield) while any writer
-/// is parked — already-admitted readers drain, the writer runs, and the
-/// readers resume. One relaxed atomic load on the uncontended read path.
-class ERQ_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  /// Ranked constructor: see Mutex. Shared (reader) acquisitions respect
-  /// the same hierarchy — a reader blocked behind a parked writer is just
-  /// as much a deadlock participant as an exclusive holder.
-  explicit SharedMutex(const LockRank& rank) : rank_(&rank) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ERQ_ACQUIRE() {
-    ERQ_DLO_ACQUIRE_(this, rank_, /*checked=*/true);
-    writers_waiting_.fetch_add(1, std::memory_order_relaxed);
-    mu_.lock();
-    writers_waiting_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  void Unlock() ERQ_RELEASE() {
-    mu_.unlock();
-    ERQ_DLO_RELEASE_(this);
-  }
-  void ReaderLock() ERQ_ACQUIRE_SHARED() {
-    ERQ_DLO_ACQUIRE_(this, rank_, /*checked=*/true);
-    while (writers_waiting_.load(std::memory_order_relaxed) > 0) {
-      std::this_thread::yield();
-    }
-    mu_.lock_shared();
-  }
-  void ReaderUnlock() ERQ_RELEASE_SHARED() {
-    mu_.unlock_shared();
-    ERQ_DLO_RELEASE_(this);
-  }
-
- private:
-  std::shared_mutex mu_;
-  std::atomic<int> writers_waiting_{0};
-  const LockRank* rank_ = nullptr;
-};
-
-/// RAII exclusive lock for erq::SharedMutex.
-class ERQ_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) ERQ_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() ERQ_RELEASE() { mu_->Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* mu_;
-};
-
-/// RAII shared (reader) lock for erq::SharedMutex. The destructor uses the
-/// generic release annotation (abseil's scheme): a scoped capability
-/// releases whatever mode it acquired.
-class ERQ_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) ERQ_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->ReaderLock();
-  }
-  ~ReaderMutexLock() ERQ_RELEASE() { mu_->ReaderUnlock(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* mu_;
 };
 
 }  // namespace erq

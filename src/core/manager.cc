@@ -14,21 +14,6 @@ std::string FormatSeconds(double seconds) {
   return buf;
 }
 
-// Sums a per-scan partition counter (>= 0 means "this scan was
-// partition-pruned") across every table scan in the executed plan.
-size_t SumPartitionField(const PhysOpPtr& root,
-                         int64_t PhysicalOperator::*field) {
-  if (root == nullptr) return 0;
-  size_t total = 0;
-  if (root->kind == PhysOpKind::kTableScan && (*root).*field >= 0) {
-    total += static_cast<size_t>((*root).*field);
-  }
-  for (const PhysOpPtr& child : root->children) {
-    total += SumPartitionField(child, field);
-  }
-  return total;
-}
-
 // Counts the CachedResultScan leaves of an executed plan and the rows
 // they emitted — the per-query reuse exposure (QueryOutcome /
 // QueryResponse `reused_subtrees` and `reuse_rows_served`).
@@ -176,7 +161,6 @@ EmptyResultManager::EmptyResultManager(Catalog* catalog, StatsCatalog* stats,
         }
         break;
       case TableUpdateEvent::Kind::kDropTable:
-      case TableUpdateEvent::Kind::kGeneric:
         detector_.OnRelationUpdated(event.table_name);
         if (reuse_store_ != nullptr) {
           reuse_store_->OnRelationUpdated(event.table_name);
@@ -193,19 +177,7 @@ StatusOr<QueryOutcome> EmptyResultManager::Query(const std::string& sql) {
 StatusOr<QueryOutcome> EmptyResultManager::Execute(
     const QueryRequest& request) {
   ERQ_RETURN_IF_ERROR(init_status_);
-  if (!request.batch.empty()) {
-    return Status::InvalidArgument(
-        "QueryRequest with a batch must go through ExecuteBatch");
-  }
-  if (request.statement != nullptr && !request.sql.empty()) {
-    return Status::InvalidArgument(
-        "QueryRequest must set exactly one of sql / statement / batch");
-  }
-  if (request.statement != nullptr) {
-    return ExecuteStatement(*request.statement);
-  }
-  // The sql form; an empty string falls through to the parser so the
-  // caller sees the same ParseError the pre-request API produced.
+  // An empty string reaches the parser, which rejects it with a ParseError.
   double parse_seconds = 0.0;
   std::unique_ptr<Statement> stmt;
   {
@@ -216,21 +188,6 @@ StatusOr<QueryOutcome> EmptyResultManager::Execute(
   outcome.timings.parse_seconds = parse_seconds;
   outcome.timings.total_seconds += parse_seconds;
   return outcome;
-}
-
-std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
-    const QueryRequest& request) {
-  std::vector<StatusOr<QueryOutcome>> out;
-  if (request.statement != nullptr || !request.sql.empty()) {
-    out.emplace_back(Status::InvalidArgument(
-        "ExecuteBatch takes a batch request; use Execute for sql/statement"));
-    return out;
-  }
-  out.reserve(request.batch.size());
-  for (const std::string& sql : request.batch) {
-    out.push_back(Execute(QueryRequest::Sql(sql)));
-  }
-  return out;
 }
 
 StatusOr<PhysOpPtr> EmptyResultManager::Prepare(const std::string& sql) {
@@ -327,9 +284,9 @@ StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
     ERQ_ASSIGN_OR_RETURN(outcome.result, Executor::Run(physical, exec_options));
   }
   outcome.partitions_scanned =
-      SumPartitionField(physical, &PhysicalOperator::partitions_scanned);
+      physical->SumScanPartitions(&PhysicalOperator::partitions_scanned);
   outcome.partitions_pruned =
-      SumPartitionField(physical, &PhysicalOperator::partitions_pruned);
+      physical->SumScanPartitions(&PhysicalOperator::partitions_pruned);
   CollectReuseServed(physical, &outcome.reused_subtrees,
                      &outcome.reuse_rows_served);
   outcome.executed = true;

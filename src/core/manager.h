@@ -39,7 +39,7 @@ struct QueryOutcome {
   /// Query()/Execute() call; the stage fields are disjoint
   /// sub-intervals of it.
   struct Timings {
-    double parse_seconds = 0.0;     ///< SQL text -> Statement (Query() only)
+    double parse_seconds = 0.0;     ///< SQL text -> Statement
     double plan_seconds = 0.0;      ///< Statement -> logical plan
     double optimize_seconds = 0.0;  ///< logical -> physical (incl. re-opt
                                     ///< after §2.5 pruning)
@@ -99,8 +99,8 @@ struct QueryOutcome {
   std::string ToString() const;
 };
 
-/// Forward declaration — the value-type request consumed by
-/// Execute()/ExecuteBatch(); defined in core/query_api.h.
+/// Forward declaration — the value-type request consumed by Execute();
+/// defined in core/query_api.h.
 struct QueryRequest;
 
 /// Aggregate counters across a query stream: a value-type read view of
@@ -156,21 +156,12 @@ class EmptyResultManager {
   /// non-OK status every entry point returns this error.
   const Status& init_status() const { return init_status_; }
 
-  /// Primary entry point: full workflow for one single-statement
-  /// QueryRequest (`sql` or `statement` form; batch requests belong to
-  /// ExecuteBatch). The request's wire-presentation fields (row_limit,
-  /// explain, tenant) do not affect the engine — they are consumed when
-  /// the outcome is turned into a QueryResponse.
+  /// The entry point: full workflow for one QueryRequest. The request's
+  /// wire-presentation fields (row_limit, explain, tenant) do not affect
+  /// the engine — they are consumed when the outcome is turned into a
+  /// QueryResponse. A batch is a loop of Execute calls, so a later item
+  /// is checked against everything an earlier item recorded.
   ERQ_NODISCARD StatusOr<QueryOutcome> Execute(const QueryRequest& request);
-
-  /// Primary entry point for a batch request: runs each statement of
-  /// `request.batch` through Execute, in order, and returns one StatusOr
-  /// per statement (an error in one statement does not fail the rest).
-  /// The results are exactly those of submitting the statements one by
-  /// one, so a later item is checked against everything an earlier item
-  /// recorded. An empty `request.batch` yields an empty vector.
-  std::vector<StatusOr<QueryOutcome>> ExecuteBatch(
-      const QueryRequest& request);
 
   /// Full workflow for a SQL string. Thin wrapper over Execute().
   ERQ_NODISCARD StatusOr<QueryOutcome> Query(const std::string& sql);
@@ -240,7 +231,7 @@ class EmptyResultManager {
   static Instruments ResolveInstruments(MetricsRegistry& scope);
 
   /// Full workflow for one already-parsed statement (the pipeline behind
-  /// Execute's sql and statement forms): plan -> optimize -> cost gate ->
+  /// Execute, after its parse): plan -> optimize -> cost gate ->
   /// check -> prune -> execute -> explain -> harvest.
   StatusOr<QueryOutcome> ExecuteStatement(const Statement& stmt);
 

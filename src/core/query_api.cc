@@ -35,42 +35,6 @@ QueryRequest QueryRequest::Sql(std::string sql) {
   return out;
 }
 
-QueryRequest QueryRequest::Parsed(const Statement* statement) {
-  QueryRequest out;
-  out.statement = statement;
-  return out;
-}
-
-QueryRequest QueryRequest::Batch(std::vector<std::string> sqls) {
-  QueryRequest out;
-  out.batch = std::move(sqls);
-  return out;
-}
-
-Status QueryRequest::Validate() const {
-  const int forms = (sql.empty() ? 0 : 1) + (statement != nullptr ? 1 : 0) +
-                    (batch.empty() ? 0 : 1);
-  if (forms == 0) {
-    return Status::InvalidArgument(
-        "QueryRequest needs exactly one input form: sql, statement, or "
-        "batch (all three are empty)");
-  }
-  if (forms > 1) {
-    return Status::InvalidArgument(
-        "QueryRequest must set exactly one of sql / statement / batch");
-  }
-  switch (explain) {
-    case ExplainVerbosity::kNone:
-    case ExplainVerbosity::kSummary:
-    case ExplainVerbosity::kFull:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "QueryRequest.explain is not a known ExplainVerbosity");
-  }
-  return Status::OK();
-}
-
 QueryResponse QueryResponse::FromOutcome(const QueryOutcome& outcome,
                                          const QueryRequest& request) {
   QueryResponse out;

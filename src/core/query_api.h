@@ -9,9 +9,8 @@
 /// cannot cross a process boundary. QueryRequest/QueryResponse are the
 /// *wire* surface: plain values with a versioned JSON rendering
 /// (`erq.response.v1`) and one shared text renderer, used by erq_server,
-/// erq_shell, and the examples. EmptyResultManager::Execute/ExecuteBatch
-/// accept a QueryRequest directly; Query(sql) is a thin wrapper over
-/// Execute.
+/// erq_shell, and the examples. EmptyResultManager::Execute accepts a
+/// QueryRequest directly; Query(sql) is a thin wrapper over Execute.
 
 #include <cstddef>
 #include <optional>
@@ -30,21 +29,16 @@ enum class ExplainVerbosity {
   kFull,     ///< + the annotated physical plan text
 };
 
-/// One query submission, as a plain value. Exactly one input form must be
-/// set: `sql` (a single SQL string), `statement` (a pre-parsed statement,
-/// borrowed — the caller keeps it alive for the duration of the call), or
-/// `batch` (several SQL strings, each run as if submitted on its own).
+/// One query submission, as a plain value: one SQL statement plus the
+/// fields that shape its wire response. A batch of statements is a loop
+/// of requests, one per statement (the HTTP handler's `"batch"` body).
 struct QueryRequest {
   /// Default row_limit: enough for interactive use, small enough that a
   /// wire response stays bounded no matter what the query returns.
   static constexpr size_t kDefaultRowLimit = 100;
 
-  /// Single SQL statement text ("" when statement/batch is used).
+  /// The SQL statement text.
   std::string sql;
-  /// Pre-parsed alternative to `sql`; borrowed, may be nullptr.
-  const Statement* statement = nullptr;
-  /// Batch mode: several SQL strings, run in order.
-  std::vector<std::string> batch;
   /// Tenant namespace the server routes this request to ("" = the default
   /// tenant). The in-process manager ignores it — isolation happens one
   /// level up, in TenantRegistry.
@@ -55,22 +49,8 @@ struct QueryRequest {
   /// Explanation detail carried by the response.
   ExplainVerbosity explain = ExplainVerbosity::kSummary;
 
-  /// Builds a single-statement request from SQL text.
+  /// Builds a request from SQL text.
   static QueryRequest Sql(std::string sql);
-  /// Builds a single-statement request from a pre-parsed statement
-  /// (borrowed; must outlive the Execute call).
-  static QueryRequest Parsed(const Statement* statement);
-  /// Builds a batch request.
-  static QueryRequest Batch(std::vector<std::string> sqls);
-
-  /// Rejects requests with zero or multiple input forms set, and explain
-  /// values outside the enum. Execute/ExecuteBatch do not call this: they
-  /// check only the input forms they route on. Execute rejects a request
-  /// carrying a batch or both sql and statement (a request with no form
-  /// reaches the parser and fails with its ParseError); ExecuteBatch
-  /// rejects a request carrying sql or statement. Neither looks at the
-  /// wire fields (tenant, row_limit, explain).
-  ERQ_NODISCARD Status Validate() const;
 };
 
 /// The wire-friendly result of one query: QueryOutcome's scalar fields,

@@ -103,8 +103,7 @@ Status WalkPhysical(const PhysicalOperator& node, SimplifiedQueryPart* out) {
       return WalkPhysical(*node.children[0], out);
     }
     case PhysOpKind::kNestedLoopsJoin:
-    case PhysOpKind::kHashJoin:
-    case PhysOpKind::kMergeJoin: {
+    case PhysOpKind::kHashJoin: {
       // T2: only the join condition survives.
       for (size_t i = 0; i < node.left_keys.size(); ++i) {
         out->conjuncts.push_back(Expr::MakeCompare(

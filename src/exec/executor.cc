@@ -37,19 +37,6 @@ struct ExecMetrics {
   }
 };
 
-/// Sums one partitioned-scan observation field over every scan in a plan.
-uint64_t SumPartitionCounts(const PhysicalOperator& op,
-                            int64_t PhysicalOperator::*field) {
-  uint64_t total = 0;
-  if (op.kind == PhysOpKind::kTableScan && op.*field > 0) {
-    total += static_cast<uint64_t>(op.*field);
-  }
-  for (const PhysOpPtr& child : op.children) {
-    total += SumPartitionCounts(*child, field);
-  }
-  return total;
-}
-
 /// Total rows produced by leaf access paths (table/index scans) in one
 /// executed plan — the "work done" complement to rows_emitted.
 uint64_t ScannedRows(const PhysicalOperator& op) {
@@ -505,107 +492,6 @@ class SemiJoinIter : public Iter {
   std::unordered_set<Value, ValueHash, ValueEq> values_;
 };
 
-/// Sort-merge join: materializes and sorts both inputs by key, then merges
-/// equal-key groups.
-class MergeJoinIter : public Iter {
- public:
-  MergeJoinIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
-
-  Status Open() override {
-    ERQ_ASSIGN_OR_RETURN(std::vector<Row> lrows, Drain(left_.get()));
-    ERQ_ASSIGN_OR_RETURN(std::vector<Row> rrows, Drain(right_.get()));
-    ERQ_RETURN_IF_ERROR(Prepare(lrows, op_.left_keys, &left_sorted_));
-    ERQ_RETURN_IF_ERROR(Prepare(rrows, op_.right_keys, &right_sorted_));
-    li_ = ri_ = 0;
-    out_pos_ = 0;
-    pending_.clear();
-    return Status::OK();
-  }
-
-  StatusOr<std::optional<Row>> Next() override {
-    while (true) {
-      if (out_pos_ < pending_.size()) {
-        return std::optional<Row>(std::move(pending_[out_pos_++]));
-      }
-      pending_.clear();
-      out_pos_ = 0;
-      if (li_ >= left_sorted_.size() || ri_ >= right_sorted_.size()) {
-        return std::optional<Row>{};
-      }
-      int c = CompareKeys(left_sorted_[li_].first, right_sorted_[ri_].first);
-      if (c < 0) {
-        ++li_;
-        continue;
-      }
-      if (c > 0) {
-        ++ri_;
-        continue;
-      }
-      // Equal keys: emit the cross product of the two groups.
-      size_t lj = li_;
-      while (lj < left_sorted_.size() &&
-             CompareKeys(left_sorted_[lj].first, left_sorted_[li_].first) == 0) {
-        ++lj;
-      }
-      size_t rj = ri_;
-      while (rj < right_sorted_.size() &&
-             CompareKeys(right_sorted_[rj].first, right_sorted_[ri_].first) ==
-                 0) {
-        ++rj;
-      }
-      for (size_t a = li_; a < lj; ++a) {
-        for (size_t b = ri_; b < rj; ++b) {
-          Row combined =
-              ConcatRows(left_sorted_[a].second, right_sorted_[b].second);
-          if (op_.join_condition) {
-            ERQ_ASSIGN_OR_RETURN(
-                bool pass, PredicatePasses(*op_.join_condition, combined));
-            if (!pass) continue;
-          }
-          pending_.push_back(std::move(combined));
-        }
-      }
-      li_ = lj;
-      ri_ = rj;
-    }
-  }
-
- private:
-  using Keyed = std::pair<Row, Row>;  // (key, row)
-
-  static int CompareKeys(const Row& a, const Row& b) {
-    for (size_t i = 0; i < a.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c;
-    }
-    return 0;
-  }
-
-  static Status Prepare(std::vector<Row>& rows,
-                        const std::vector<ExprPtr>& keys,
-                        std::vector<Keyed>* out) {
-    out->clear();
-    out->reserve(rows.size());
-    for (Row& row : rows) {
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> key, EvalKeys(keys, row));
-      if (!key.has_value()) continue;  // null keys never join
-      out->emplace_back(std::move(*key), std::move(row));
-    }
-    std::sort(out->begin(), out->end(), [](const Keyed& a, const Keyed& b) {
-      return CompareKeys(a.first, b.first) < 0;
-    });
-    return Status::OK();
-  }
-
-  const PhysicalOperator& op_;
-  IterPtr left_, right_;
-  std::vector<Keyed> left_sorted_, right_sorted_;
-  size_t li_ = 0, ri_ = 0;
-  std::vector<Row> pending_;
-  size_t out_pos_ = 0;
-};
-
 class LeftOuterJoinIter : public Iter {
  public:
   LeftOuterJoinIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
@@ -979,12 +865,6 @@ StatusOr<IterPtr> MakeInner(const PhysOpPtr& op, const ExecOptions& options) {
       ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
       return IterPtr(new HashJoinIter(*op, std::move(left), std::move(right)));
     }
-    case PhysOpKind::kMergeJoin: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
-      return IterPtr(
-          new MergeJoinIter(*op, std::move(left), std::move(right)));
-    }
     case PhysOpKind::kSemiJoin: {
       ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
       ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
@@ -1052,9 +932,9 @@ StatusOr<ExecutionResult> Executor::Run(const PhysOpPtr& plan,
   metrics.rows_scanned->Increment(ScannedRows(*plan));
   metrics.rows_emitted->Increment(result.rows.size());
   metrics.partitions_pruned->Increment(
-      SumPartitionCounts(*plan, &PhysicalOperator::partitions_pruned));
+      plan->SumScanPartitions(&PhysicalOperator::partitions_pruned));
   metrics.partitions_scanned->Increment(
-      SumPartitionCounts(*plan, &PhysicalOperator::partitions_scanned));
+      plan->SumScanPartitions(&PhysicalOperator::partitions_scanned));
   return result;
 }
 

@@ -163,11 +163,6 @@ double CostModel::HashJoinCost(double left_rows, double right_rows) const {
   return (left_rows + right_rows) * kHashTupleCost;
 }
 
-double CostModel::MergeJoinCost(double left_rows, double right_rows) const {
-  return SortCost(left_rows) + SortCost(right_rows) +
-         (left_rows + right_rows) * kMergeTupleCost;
-}
-
 double CostModel::NestedLoopsJoinCost(double left_rows,
                                       double right_rows) const {
   return left_rows * std::max(1.0, right_rows) * kNlTupleCost;

@@ -48,7 +48,6 @@ class CostModel {
     return input_rows * kProjectCost;
   }
   double HashJoinCost(double left_rows, double right_rows) const;
-  double MergeJoinCost(double left_rows, double right_rows) const;
   double NestedLoopsJoinCost(double left_rows, double right_rows) const;
   double SortCost(double rows) const;
   double DistinctCost(double rows) const { return rows * kHashTupleCost; }
@@ -62,7 +61,6 @@ class CostModel {
   static constexpr double kIndexLookupCost = 12.0;
   static constexpr double kIndexTupleCost = 2.0;
   static constexpr double kHashTupleCost = 1.5;
-  static constexpr double kMergeTupleCost = 1.2;
   static constexpr double kNlTupleCost = 0.5;
   static constexpr double kDefaultSelectivity = 0.33;
   static constexpr double kDefaultEqSelectivity = 0.05;

@@ -707,12 +707,8 @@ StatusOr<PhysOpPtr> Optimizer::OptimizeSpj(const LogicalOpPtr& root) const {
     PhysOpPtr join;
     Layout joined_layout = Layout::Concat(left.plan->layout,
                                           right.plan->layout);
-    bool use_keys = !left_keys.empty() &&
-                    (options_.enable_hash_join || options_.prefer_merge_join);
-    if (use_keys) {
-      join = PhysicalOperator::Make(options_.prefer_merge_join
-                                        ? PhysOpKind::kMergeJoin
-                                        : PhysOpKind::kHashJoin);
+    if (!left_keys.empty() && options_.enable_hash_join) {
+      join = PhysicalOperator::Make(PhysOpKind::kHashJoin);
       for (size_t i = 0; i < left_keys.size(); ++i) {
         ERQ_ASSIGN_OR_RETURN(ExprPtr lk,
                              BindExpr(left_keys[i], left.plan->layout));
@@ -726,11 +722,9 @@ StatusOr<PhysOpPtr> Optimizer::OptimizeSpj(const LogicalOpPtr& root) const {
             join->join_condition,
             BindExpr(Expr::MakeAnd(std::move(residual)), joined_layout));
       }
-      join->estimated_cost =
-          left.plan->estimated_cost + right.plan->estimated_cost +
-          (options_.prefer_merge_join
-               ? cost_model_.MergeJoinCost(left.rows, right.rows)
-               : cost_model_.HashJoinCost(left.rows, right.rows));
+      join->estimated_cost = left.plan->estimated_cost +
+                             right.plan->estimated_cost +
+                             cost_model_.HashJoinCost(left.rows, right.rows);
     } else {
       join = PhysicalOperator::Make(PhysOpKind::kNestedLoopsJoin);
       std::vector<ExprPtr> all_conjuncts;

@@ -14,8 +14,6 @@ namespace erq {
 struct OptimizerOptions {
   bool enable_index_scan = true;
   bool enable_hash_join = true;
-  /// Use sort-merge instead of hash for equi-joins (ablation/testing knob).
-  bool prefer_merge_join = false;
   /// When non-null, the splice pass probes this store while building
   /// table-scan access paths and replaces covered scans with
   /// CachedResultScan nodes (borrowed; must outlive the optimizer). The
@@ -33,8 +31,7 @@ struct OptimizerOptions {
 ///    locates the lowest-level *operator* whose output is empty;
 ///  * join order is chosen greedily by estimated output cardinality,
 ///    preferring connected (predicate-linked) pairs over cross products;
-///  * equi-joins run as hash joins (or merge joins when configured),
-///    everything else as nested loops;
+///  * equi-joins run as hash joins, everything else as nested loops;
 ///  * every node carries estimated rows and cumulative estimated cost; the
 ///    root's estimated_cost is the optimizer's cost(Q) used by the C_cost
 ///    gate of §2.2.

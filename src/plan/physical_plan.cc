@@ -20,8 +20,6 @@ const char* PhysOpKindToString(PhysOpKind kind) {
       return "NestedLoopsJoin";
     case PhysOpKind::kHashJoin:
       return "HashJoin";
-    case PhysOpKind::kMergeJoin:
-      return "MergeJoin";
     case PhysOpKind::kSemiJoin:
       return "SemiJoin";
     case PhysOpKind::kLeftOuterJoin:
@@ -45,6 +43,16 @@ void PhysicalOperator::ResetActuals() {
   partitions_scanned = -1;
   partitions_pruned = -1;
   for (const PhysOpPtr& c : children) c->ResetActuals();
+}
+
+uint64_t PhysicalOperator::SumScanPartitions(
+    int64_t PhysicalOperator::*field) const {
+  uint64_t total = 0;
+  if (kind == PhysOpKind::kTableScan && this->*field > 0) {
+    total += static_cast<uint64_t>(this->*field);
+  }
+  for (const PhysOpPtr& c : children) total += c->SumScanPartitions(field);
+  return total;
 }
 
 std::string PhysicalOperator::ToString(int indent) const {
@@ -95,8 +103,7 @@ std::string PhysicalOperator::ToString(int indent) const {
         out += " [" + left_keys[0]->ToString() + " IN right]";
       }
       break;
-    case PhysOpKind::kHashJoin:
-    case PhysOpKind::kMergeJoin: {
+    case PhysOpKind::kHashJoin: {
       out += " [";
       for (size_t i = 0; i < left_keys.size(); ++i) {
         if (i > 0) out += " AND ";

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +27,6 @@ enum class PhysOpKind {
   kProject,
   kNestedLoopsJoin,
   kHashJoin,
-  kMergeJoin,   // sorts its inputs, then merges (sort-merge join)
   kSemiJoin,    // hash semi join: left rows whose key appears in the right
                 // child's single output column (IN-subquery rewrites)
   kLeftOuterJoin,
@@ -83,8 +83,8 @@ struct PhysicalOperator {
   std::vector<ExprPtr> left_keys;
   std::vector<ExprPtr> right_keys;
   /// Full join condition bound to the concatenated output layout
-  /// (NL join and outer join evaluate this; hash/merge joins evaluate
-  /// keys plus this residual). Null means cross product / no residual.
+  /// (NL join and outer join evaluate this; hash joins evaluate keys
+  /// plus this residual). Null means cross product / no residual.
   ExprPtr join_condition;
 
   // kProject / kAggregate (exprs bound to child layout).
@@ -117,6 +117,11 @@ struct PhysicalOperator {
 
   /// Resets actual_rows to -1 in the whole subtree (before re-execution).
   void ResetActuals();
+
+  /// Sums one partitioned-scan observation (`&PhysicalOperator::
+  /// partitions_scanned` or `partitions_pruned`) over every table scan in
+  /// the subtree; a scan that did not run partitioned adds nothing.
+  uint64_t SumScanPartitions(int64_t PhysicalOperator::*field) const;
 
   /// Plan display with estimated and (when present) actual cardinalities —
   /// what Operation O1 shows the user.

@@ -8,10 +8,10 @@
 /// TLS, no external dependency.
 ///
 /// The same types drive both sides of the wire: the server parses
-/// HttpRequest and writes HttpResponse, while tests and bench_server
-/// build HttpRequest::Serialize() and parse responses with
-/// ParseHttpResponse — so the protocol implementation is exercised from
-/// both ends by construction.
+/// HttpRequest and writes HttpResponse, while tests and the end-to-end
+/// benchmark's client build HttpRequest::Serialize() and read responses
+/// with ReadHttpResponse — so the protocol implementation is exercised
+/// from both ends by construction.
 
 #include <cstddef>
 #include <map>

@@ -20,13 +20,22 @@ StatusOr<ExplainVerbosity> ParseExplain(const std::string& text) {
       text + "\"");
 }
 
-/// Decodes a POST /v1/query body into a QueryRequest.
-StatusOr<QueryRequest> ParseQueryBody(const std::string& body) {
+/// A decoded POST /v1/query body: exactly one of `request.sql` and `batch`
+/// is non-empty. A batch runs as one request per statement, sharing the
+/// body's tenant, row_limit and explain.
+struct QueryBody {
+  QueryRequest request;
+  std::vector<std::string> batch;
+};
+
+/// Decodes a POST /v1/query body.
+StatusOr<QueryBody> ParseQueryBody(const std::string& body) {
   ERQ_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(body));
   if (!doc.is_object()) {
     return Status::InvalidArgument("query body must be a JSON object");
   }
-  QueryRequest request;
+  QueryBody out;
+  QueryRequest& request = out.request;
   if (const JsonValue* sql = doc.Find("sql"); sql != nullptr) {
     if (!sql->is_string()) {
       return Status::InvalidArgument("\"sql\" must be a string");
@@ -42,7 +51,7 @@ StatusOr<QueryRequest> ParseQueryBody(const std::string& body) {
         return Status::InvalidArgument(
             "\"batch\" must be an array of strings");
       }
-      request.batch.push_back(item.AsString());
+      out.batch.push_back(item.AsString());
     }
   }
   if (const JsonValue* tenant = doc.Find("tenant"); tenant != nullptr) {
@@ -68,15 +77,15 @@ StatusOr<QueryRequest> ParseQueryBody(const std::string& body) {
     }
     ERQ_ASSIGN_OR_RETURN(request.explain, ParseExplain(explain->AsString()));
   }
-  if (request.sql.empty() && request.batch.empty()) {
+  if (request.sql.empty() && out.batch.empty()) {
     return Status::InvalidArgument(
         "query body must carry \"sql\" or \"batch\"");
   }
-  if (!request.sql.empty() && !request.batch.empty()) {
+  if (!request.sql.empty() && !out.batch.empty()) {
     return Status::InvalidArgument(
         "query body must carry \"sql\" or \"batch\", not both");
   }
-  return request;
+  return out;
 }
 
 }  // namespace
@@ -151,9 +160,9 @@ HttpResponse RequestHandler::Handle(const HttpRequest& request) {
 }
 
 HttpResponse RequestHandler::HandleQuery(const HttpRequest& http) {
-  StatusOr<QueryRequest> parsed = ParseQueryBody(http.body);
+  StatusOr<QueryBody> parsed = ParseQueryBody(http.body);
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  const QueryRequest& request = *parsed;
+  QueryRequest& request = parsed->request;
 
   StatusOr<TenantRegistry::Tenant*> tenant =
       tenants_->GetOrCreate(request.tenant);
@@ -162,16 +171,19 @@ HttpResponse RequestHandler::HandleQuery(const HttpRequest& http) {
   (*tenant)->requests->Increment();
 
   HttpResponse response;
-  if (!request.batch.empty()) {
-    // Batch: one erq.response.v1 item per query, each wrapped with the
-    // HTTP status its Status code maps to, so transport-level and
-    // engine-level failures read uniformly item by item.
-    metrics_.batch_queries->Increment(request.batch.size());
-    std::vector<StatusOr<QueryOutcome>> results =
-        (*tenant)->manager->ExecuteBatch(request);
+  std::vector<std::string>& batch = parsed->batch;
+  if (!batch.empty()) {
+    // Batch: one Execute per statement, in order, so a later item is
+    // checked against everything an earlier item recorded. One
+    // erq.response.v1 item per query, each wrapped with the HTTP status
+    // its Status code maps to, so transport-level and engine-level
+    // failures read uniformly item by item.
+    metrics_.batch_queries->Increment(batch.size());
     std::string body = "{\"schema\":\"erq.response.batch.v1\",\"items\":[";
-    for (size_t i = 0; i < results.size(); ++i) {
-      QueryResponse item = QueryResponse::FromResult(results[i], request);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      request.sql = std::move(batch[i]);
+      QueryResponse item = QueryResponse::FromResult(
+          (*tenant)->manager->Execute(request), request);
       if (!item.status.ok()) (*tenant)->errors->Increment();
       if (i > 0) body += ',';
       body += "{\"http_status\":" +

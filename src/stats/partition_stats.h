@@ -45,7 +45,7 @@ struct PartitionSurvivorEstimate {
 
 /// Applies ZoneMapsRefute to every partition of `snapshot` and tallies the
 /// result. Purely estimative: the executor re-derives the real pruning
-/// decision (with cache knowledge layered on top) at scan open.
+/// decision at scan open.
 PartitionSurvivorEstimate EstimateSurvivors(const PartitionSnapshot& snapshot,
                                             const Schema& schema,
                                             const std::string& relation,

@@ -46,17 +46,6 @@ TEST(ExecutorTest, HashJoinMatchesNestedLoops) {
   EXPECT_EQ(Sorted(hash.rows), Sorted(nested.rows));
 }
 
-TEST(ExecutorTest, MergeJoinMatchesHashJoin) {
-  FixtureDb db;
-  OptimizerOptions merge;
-  merge.prefer_merge_join = true;
-  ERQ_ASSERT_OK_AND_ASSIGN(ExecutionResult h,
-                           db.Run("select * from A, B where A.c = B.d"));
-  ERQ_ASSERT_OK_AND_ASSIGN(
-      ExecutionResult m, db.Run("select * from A, B where A.c = B.d", merge));
-  EXPECT_EQ(Sorted(h.rows), Sorted(m.rows));
-}
-
 TEST(ExecutorTest, ThreeWayJoin) {
   FixtureDb db;
   ERQ_ASSERT_OK_AND_ASSIGN(

@@ -113,19 +113,6 @@ TEST(LockOrderTest, SameLevelReacquisitionReportsViolation) {
   EXPECT_EQ(Captured()[0].held_level, Captured()[0].acquired_level);
 }
 
-TEST(LockOrderTest, SharedMutexReaderPathIsChecked) {
-  if (!Enabled()) GTEST_SKIP() << "built without ERQ_DEBUG_LOCK_ORDER";
-  ScopedCapture capture;
-  SharedMutex inner{kInner};
-  Mutex outer{kOuter};
-  {
-    ReaderMutexLock hold_inner(&inner);
-    MutexLock hold_outer(&outer);  // inversion through a reader lock
-  }
-  ASSERT_EQ(Captured().size(), 1u);
-  EXPECT_EQ(Captured()[0].acquired_level, 90);
-}
-
 TEST(LockOrderTest, UnrankedMutexesAreTrackedButNeverChecked) {
   if (!Enabled()) GTEST_SKIP() << "built without ERQ_DEBUG_LOCK_ORDER";
   ScopedCapture capture;

@@ -145,75 +145,40 @@ TEST_F(ManagerTest, ParseErrorsPropagate) {
   EXPECT_FALSE(manager.Query("select * from missing_table").ok());
 }
 
-TEST_F(ManagerTest, QueryBatchMatchesSequentialQueries) {
+TEST_F(ManagerTest, MalformedStatementInAStreamFailsAlone) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats(),
                              HighCostEverything());
-  // Seed C_aqp the same way the sequential path would.
   ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
 
-  std::vector<std::string> sqls = {
-      "select * from A where a > 500",  // detected empty from C_aqp
-      "select * from A where a < 15",   // executes, 5 rows
-      "selec * from A",                 // parse error: only this slot fails
-      "select * from A where a = 200",  // detected empty
-  };
-  std::vector<StatusOr<QueryOutcome>> batch =
-      manager.ExecuteBatch(QueryRequest::Batch(sqls));
-  ASSERT_EQ(batch.size(), sqls.size());
+  std::vector<StatusOr<QueryOutcome>> results;
+  for (const char* sql : {
+           "select * from A where a > 500",  // detected empty from C_aqp
+           "select * from A where a < 15",   // executes, 5 rows
+           "selec * from A",                 // parse error: only this fails
+           "select * from A where a = 200",  // detected empty
+       }) {
+    results.push_back(manager.Execute(QueryRequest::Sql(sql)));
+  }
 
-  ASSERT_TRUE(batch[0].ok()) << batch[0].status();
-  EXPECT_TRUE(batch[0]->detected_empty);
-  EXPECT_FALSE(batch[0]->executed);
+  ASSERT_TRUE(results[0].ok()) << results[0].status();
+  EXPECT_TRUE(results[0]->detected_empty);
+  EXPECT_FALSE(results[0]->executed);
 
-  ASSERT_TRUE(batch[1].ok()) << batch[1].status();
-  EXPECT_TRUE(batch[1]->executed);
-  EXPECT_EQ(batch[1]->result_rows, 5u);
+  ASSERT_TRUE(results[1].ok()) << results[1].status();
+  EXPECT_TRUE(results[1]->executed);
+  EXPECT_EQ(results[1]->result_rows, 5u);
 
-  EXPECT_FALSE(batch[2].ok());
+  EXPECT_FALSE(results[2].ok());
 
-  ASSERT_TRUE(batch[3].ok()) << batch[3].status();
-  EXPECT_TRUE(batch[3]->detected_empty);
+  ASSERT_TRUE(results[3].ok()) << results[3].status();
+  EXPECT_TRUE(results[3]->detected_empty);
 
-  // The three well-formed statements all counted as queries and checks.
+  // The parse error never reaches the pipeline, so it is not counted.
   const ManagerStats stats = manager.stats_snapshot();
-  EXPECT_EQ(stats.queries, 4u);  // 1 seed + 3 batch survivors
+  EXPECT_EQ(stats.queries, 4u);  // 1 seed + 3 well-formed statements
   EXPECT_EQ(stats.checks, 4u);
   EXPECT_EQ(stats.detected_empty, 2u);
   EXPECT_EQ(stats.executed, 2u);
-}
-
-TEST_F(ManagerTest, QueryBatchHarvestsExecutedEmptyResults) {
-  EmptyResultManager manager(&db_.catalog(), &db_.stats(),
-                             HighCostEverything());
-  // A batch whose queries come back empty must harvest into C_aqp so a
-  // later batch detects them without execution.
-  std::vector<StatusOr<QueryOutcome>> first = manager.ExecuteBatch(
-      QueryRequest::Batch({"select * from A where a > 100"}));
-  ASSERT_TRUE(first[0].ok());
-  EXPECT_TRUE(first[0]->executed);
-  EXPECT_GT(first[0]->aqps_recorded, 0u);
-  std::vector<StatusOr<QueryOutcome>> second = manager.ExecuteBatch(
-      QueryRequest::Batch({"select * from A where a > 100"}));
-  ASSERT_TRUE(second[0].ok());
-  EXPECT_TRUE(second[0]->detected_empty);
-}
-
-TEST_F(ManagerTest, BatchDetectsRepeatOfEmptyItemEarlierInSameBatch) {
-  EmptyResultManager manager(&db_.catalog(), &db_.stats(),
-                             HighCostEverything());
-  // Items run in order, exactly as sequential submissions: the first
-  // executes, comes back empty and is harvested, so the second is
-  // detected from C_aqp without execution.
-  std::vector<StatusOr<QueryOutcome>> batch =
-      manager.ExecuteBatch(QueryRequest::Batch(
-          {"select * from A where a > 100", "select * from A where a > 100"}));
-  ASSERT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(batch[0].ok()) << batch[0].status();
-  EXPECT_TRUE(batch[0]->executed);
-  EXPECT_FALSE(batch[0]->detected_empty);
-  ASSERT_TRUE(batch[1].ok()) << batch[1].status();
-  EXPECT_TRUE(batch[1]->detected_empty);
-  EXPECT_FALSE(batch[1]->executed);
 }
 
 TEST_F(ManagerTest, StatsAccumulateAcrossStream) {

@@ -361,16 +361,9 @@ TEST(ConfigValidateTest, ManagerSurfacesTheErrorFromEveryEntryPoint) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(manager.Prepare("select * from A").status().code(),
             StatusCode::kInvalidArgument);
-  ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Statement> stmt,
-                           Parser::Parse("select * from A"));
-  EXPECT_EQ(manager.Execute(QueryRequest::Parsed(stmt.get())).status().code(),
-            StatusCode::kInvalidArgument);
-  std::vector<StatusOr<QueryOutcome>> batch = manager.ExecuteBatch(
-      QueryRequest::Batch({"select * from A", "select * from A"}));
-  ASSERT_EQ(batch.size(), 2u);
-  for (const StatusOr<QueryOutcome>& r : batch) {
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
+  EXPECT_EQ(
+      manager.Execute(QueryRequest::Sql("select * from A")).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

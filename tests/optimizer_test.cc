@@ -122,16 +122,6 @@ TEST(OptimizerTest, EquiJoinUsesHashJoin) {
   EXPECT_EQ(FindOp(plan, PhysOpKind::kNestedLoopsJoin), nullptr);
 }
 
-TEST(OptimizerTest, PreferMergeJoinOption) {
-  FixtureDb db;
-  OptimizerOptions options;
-  options.prefer_merge_join = true;
-  ERQ_ASSERT_OK_AND_ASSIGN(
-      PhysOpPtr plan,
-      db.Prepare("select * from A, B where A.c = B.d", options));
-  EXPECT_NE(FindOp(plan, PhysOpKind::kMergeJoin), nullptr);
-}
-
 TEST(OptimizerTest, NonEquiJoinUsesNestedLoops) {
   FixtureDb db;
   ERQ_ASSERT_OK_AND_ASSIGN(

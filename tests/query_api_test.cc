@@ -1,8 +1,7 @@
 // Unit tests for the QueryRequest/QueryResponse API (core/query_api.h):
-// request validation, the Execute/ExecuteBatch entry points and their
-// legacy wrappers, row_limit truncation, the erq.response.v1 JSON
-// rendering (parsed back with our own JSON reader), and the
-// parts_checked-weighted batch check_seconds attribution.
+// the Execute entry point and its legacy wrapper, row_limit truncation,
+// the erq.response.v1 JSON rendering (parsed back with our own JSON
+// reader), and the shared text rendering.
 
 #include "core/query_api.h"
 
@@ -24,18 +23,6 @@ EmptyResultConfig CheckEverything() {
   return config;
 }
 
-TEST(QueryRequestTest, ValidateRejectsZeroAndMultipleForms) {
-  QueryRequest none;
-  EXPECT_EQ(none.Validate().code(), StatusCode::kInvalidArgument);
-
-  QueryRequest both = QueryRequest::Sql("select * from A");
-  both.batch.push_back("select * from B");
-  EXPECT_EQ(both.Validate().code(), StatusCode::kInvalidArgument);
-
-  EXPECT_TRUE(QueryRequest::Sql("select * from A").Validate().ok());
-  EXPECT_TRUE(QueryRequest::Batch({"select * from A"}).Validate().ok());
-}
-
 TEST(QueryApiTest, ExecuteMatchesLegacyQueryWrapper) {
   FixtureDb db;
   EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
@@ -49,23 +36,6 @@ TEST(QueryApiTest, ExecuteMatchesLegacyQueryWrapper) {
   EXPECT_EQ(via_execute.executed, via_query.executed);
 }
 
-TEST(QueryApiTest, ExecuteRejectsBatchForm) {
-  FixtureDb db;
-  EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
-  auto result = manager.Execute(QueryRequest::Batch({"select * from A"}));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(QueryApiTest, ExecuteBatchRejectsSingleForm) {
-  FixtureDb db;
-  EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
-  auto results = manager.ExecuteBatch(QueryRequest::Sql("select * from A"));
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(QueryApiTest, EmptySqlStillReportsParseError) {
   // Back-compat: Query("") has always surfaced the parser's error, not a
   // request-validation error.
@@ -74,29 +44,6 @@ TEST(QueryApiTest, EmptySqlStillReportsParseError) {
   auto result = manager.Execute(QueryRequest::Sql(""));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
-}
-
-TEST(QueryApiTest, BatchItemsCarryStructuredStatusCodes) {
-  FixtureDb db;
-  EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
-  std::vector<StatusOr<QueryOutcome>> results =
-      manager.ExecuteBatch(QueryRequest::Batch({
-          "select * from A where a > 100",  // empty, executes fine
-          "this is not sql",                // parse error
-          "select * from no_such_table",    // unknown relation
-      }));
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), StatusCode::kParseError);
-  ASSERT_FALSE(results[2].ok());
-  EXPECT_EQ(results[2].status().code(), StatusCode::kNotFound);
-}
-
-TEST(QueryApiTest, EmptyBatchYieldsEmptyVector) {
-  FixtureDb db;
-  EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
-  EXPECT_TRUE(manager.ExecuteBatch(QueryRequest::Batch({})).empty());
 }
 
 TEST(QueryResponseTest, RowLimitTruncates) {

@@ -68,16 +68,24 @@ TEST(CatalogTest, RejectsDuplicateColumns) {
           .ok());
 }
 
-TEST(CatalogTest, UpdateListenersFireOnAppendAndDrop) {
+TEST(CatalogTest, EventListenersFireOnAppendDeleteAndDrop) {
   Catalog c;
   ASSERT_TRUE(c.CreateTable("t", AbSchema()).ok());
-  std::vector<std::string> events;
-  c.AddUpdateListener([&](const std::string& name) { events.push_back(name); });
+  std::vector<TableUpdateEvent::Kind> kinds;
+  std::vector<std::string> names;
+  c.AddEventListener([&](const TableUpdateEvent& event) {
+    kinds.push_back(event.kind);
+    names.push_back(event.table_name);
+  });
   ASSERT_TRUE(
       c.AppendRows("t", {{Value::Int(1), Value::String("x")}}).ok());
+  ASSERT_TRUE(c.DeleteRows("t", [](const Row&) { return true; }).ok());
   ASSERT_TRUE(c.DropTable("t").ok());
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0], "t");
+  EXPECT_EQ(kinds, (std::vector<TableUpdateEvent::Kind>{
+                       TableUpdateEvent::Kind::kInsert,
+                       TableUpdateEvent::Kind::kDelete,
+                       TableUpdateEvent::Kind::kDropTable}));
+  EXPECT_EQ(names, (std::vector<std::string>{"t", "t", "t"}));
 }
 
 /// Row ids of `index` within [lo, hi] per bounds.

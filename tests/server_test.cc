@@ -279,6 +279,43 @@ TEST(ServerTest, BatchCarriesPerItemStructuredErrors) {
             "NotFound");
 }
 
+TEST(ServerTest, BatchItemIsCheckedAgainstEarlierItems) {
+  ServerFixture fx;
+  ERQ_ASSERT_OK(fx.start_status());
+
+  // Items run in order, exactly as sequential submissions: the first
+  // executes, comes back empty and is harvested, so the second is
+  // detected from C_aqp without execution, as is a later batch's item.
+  HttpRequest request;
+  request.method = "POST";
+  request.path = "/v1/query";
+  request.body =
+      "{\"batch\":[\"select * from A where a > 100\","
+      "\"select * from A where a > 100\"]}";
+  ERQ_ASSERT_OK_AND_ASSIGN(auto first, Roundtrip(fx.port(), request));
+  ASSERT_EQ(first.first, 200);
+  const std::vector<JsonValue>& items = first.second.Find("items")->Items();
+  ASSERT_EQ(items.size(), 2u);
+  const JsonValue* seed = items[0].Find("response")->Find("outcome");
+  EXPECT_TRUE(seed->Find("executed")->AsBool());
+  EXPECT_FALSE(seed->Find("detected_empty")->AsBool());
+  EXPECT_GT(seed->Find("aqps_recorded")->AsInt64(), 0);
+  const JsonValue* repeat = items[1].Find("response")->Find("outcome");
+  EXPECT_TRUE(repeat->Find("detected_empty")->AsBool());
+  EXPECT_FALSE(repeat->Find("executed")->AsBool());
+
+  request.body = "{\"batch\":[\"select * from A where a > 100\"]}";
+  ERQ_ASSERT_OK_AND_ASSIGN(auto second, Roundtrip(fx.port(), request));
+  ASSERT_EQ(second.first, 200);
+  const std::vector<JsonValue>& later = second.second.Find("items")->Items();
+  ASSERT_EQ(later.size(), 1u);
+  EXPECT_TRUE(later[0]
+                  .Find("response")
+                  ->Find("outcome")
+                  ->Find("detected_empty")
+                  ->AsBool());
+}
+
 TEST(ServerTest, InvalidateEndpointNotifiesEveryTenant) {
   ServerFixture fx;
   ERQ_ASSERT_OK(fx.start_status());

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Whole-program lock-order linter for the erq lock hierarchy.
 
-Every Mutex/SharedMutex in src/ must declare its position in the global
+Every Mutex in src/ must declare its position in the global
 lock hierarchy (src/common/lock_order.h): an ERQ_ACQUIRED_AFTER(
 lock_order::kRank) annotation naming its own rank anchor, plus a matching
 `{lock_order::kRank}` brace initializer that hands the same rank to the
@@ -15,12 +15,12 @@ lock acquisitions the code actually performs:
       hierarchy entirely).
 
   2.  Acquisition-graph pass — a lexical scan of every function body
-      records MutexLock / ReaderMutexLock / WriterMutexLock scopes and the
-      calls made while those scopes are open.  Per-function lock effects
-      ("calling f may acquire mutexes {A, B}") are propagated over the
-      call graph to a fixpoint, so a lock held across a call into another
-      module (the historical Persistence::AttachCaqp inversion) produces
-      the same edge as a lexically nested acquisition.  Virtual calls
+      records MutexLock scopes and the calls made while those scopes are
+      open.  Per-function lock effects ("calling f may acquire mutexes
+      {A, B}") are propagated over the call graph to a fixpoint, so a
+      lock held across a call into another module (the historical
+      Persistence::AttachCaqp inversion) produces the same edge as a
+      lexically nested acquisition.  Virtual calls
       (listener hooks) fan out to every override of the same name.
 
   3.  Checks — an edge A -> B where level(B) <= level(A) contradicts the
@@ -30,7 +30,7 @@ lock acquisitions the code actually performs:
 
 The scan is lexical (no libclang in the build image), which is exactly
 why the hierarchy discipline exists: lockable state is always a named
-`Mutex`/`SharedMutex` member acquired through the RAII guards, so the
+`Mutex` member acquired through the RAII guard, so the
 patterns the scanner understands are the only patterns the codebase is
 allowed to use.  An expression the scanner cannot resolve is itself an
 error, not a silent skip.
@@ -179,13 +179,12 @@ class Model:
 # Pass 1: lexical scan
 # ---------------------------------------------------------------------------
 
-MUTEX_DECL_RE = re.compile(
-    r"\b(Mutex|SharedMutex)\s+(\w+)\b")
+MUTEX_DECL_RE = re.compile(r"\b(Mutex)\s+(\w+)\b")
 ACQUIRED_AFTER_RE = re.compile(r"ERQ_ACQUIRED_AFTER\s*\(\s*lock_order::(\w+)\s*\)")
 ACQUIRED_BEFORE_RE = re.compile(r"ERQ_ACQUIRED_BEFORE\s*\(([^)]*)\)")
 RANK_INIT_RE = re.compile(r"\{\s*lock_order::(\w+)\s*\}")
 LOCK_GUARD_RE = re.compile(
-    r"\b(MutexLock|ReaderMutexLock|WriterMutexLock)\s+\w+\s*\(\s*&\s*([\w>\-.]+)\s*\)")
+    r"\b(MutexLock)\s+\w+\s*\(\s*&\s*([\w>\-.]+)\s*\)")
 # An EpochReadGuard pins epoch-based reclamation for its whole scope. The
 # linter models it as a pseudo-lock (id "<epoch>") so that acquiring ANY
 # mutex inside the guard scope — directly or through a call — is an error:
@@ -444,7 +443,7 @@ class FileScanner:
                 (self.rel, stmt_line,
                  "raw std synchronization primitive "
                  f"'{RAW_MUTEX_RE.search(buf).group(0)}' bypasses the lock "
-                 "hierarchy; use erq::Mutex / erq::SharedMutex from "
+                 "hierarchy; use erq::Mutex from "
                  "common/thread_annotations.h"))
 
     def on_fragment(self, buf, stmt_line):
@@ -690,7 +689,7 @@ class Analyzer:
         self.errors.append(
             (file, line,
              f"cannot resolve lock expression '&{expr}' in "
-             f"{self.fn_name(fn.key)} to a declared Mutex/SharedMutex "
+             f"{self.fn_name(fn.key)} to a declared Mutex "
              "member; the lock linter requires guards to name a registered "
              "mutex"))
         return None

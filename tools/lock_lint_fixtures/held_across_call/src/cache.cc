@@ -3,12 +3,12 @@
 namespace erq {
 
 std::vector<int> Cache::Snapshot() const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   return parts_;
 }
 
 void Cache::Insert(int part) {
-  WriterMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   parts_.push_back(part);
 }
 

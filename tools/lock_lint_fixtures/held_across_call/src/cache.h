@@ -1,6 +1,6 @@
 #pragma once
 // Miniature cache standing in for CaqpCache: level 20, listener
-// callbacks run under its exclusive lock.
+// callbacks run under its lock.
 #include <vector>
 
 #include "common/lock_order.h"
@@ -14,7 +14,7 @@ class Cache {
   void Insert(int part);
 
  private:
-  mutable SharedMutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kCaqpCache)
+  mutable Mutex mu_ ERQ_ACQUIRED_AFTER(lock_order::kCaqpCache)
       ERQ_ACQUIRED_BEFORE(lock_order::kPersistence){lock_order::kCaqpCache};
   std::vector<int> parts_ ERQ_GUARDED_BY(mu_);
 };
